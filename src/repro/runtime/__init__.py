@@ -1,16 +1,17 @@
 """Crash-safe parallel campaign runtime.
 
-* :mod:`~repro.runtime.runner` — the supervised runner:
-  seed-sharded task units on a process pool, per-shard timeouts,
-  bounded retry with exponential backoff, worker-crash quarantine,
-  and graceful degradation into a :class:`CampaignResult`,
-* :mod:`~repro.runtime.journal` — the append-only JSONL checkpoint
-  journal behind ``--checkpoint`` / ``--resume``,
+* :mod:`~repro.runtime.runner` — the campaign runner: seed-sharded
+  task units fed by ``workers`` threads to the supervised pool, and
+  graceful degradation into a :class:`CampaignResult`,
+* :mod:`~repro.runtime.journal` — the checkpoint journal behind
+  ``--checkpoint`` / ``--resume``, a record schema on the durable
+  :class:`~repro.core.durability.JsonlLog`,
 * :mod:`~repro.runtime.drivers` — the sharded workloads: Monte-Carlo
   yield, supervised fault-injection repair, SPICE sizing sweeps,
-* :mod:`~repro.runtime.supervision` — the reusable supervision
-  primitives (retry policy, crash blame, deadlines, pool teardown)
-  shared with the service tier's process-pool build backend.
+* :mod:`~repro.runtime.supervision` — :class:`SupervisedPool`, the one
+  process pool (slots, deadlines, retry policy, crash blame and
+  quarantine, innocent requeues, pool teardown) shared with the
+  service tier's process-pool build backend.
 """
 
 from repro.runtime.journal import CheckpointJournal, fingerprint_digest
@@ -23,9 +24,8 @@ from repro.runtime.runner import (
 )
 from repro.runtime.supervision import (
     CrashBlame,
-    DeadlineTable,
-    DelayQueue,
     RetryPolicy,
+    SupervisedPool,
     classify_error,
     terminate_pool,
 )
@@ -36,11 +36,10 @@ __all__ = [
     "CampaignSpec",
     "CheckpointJournal",
     "CrashBlame",
-    "DeadlineTable",
-    "DelayQueue",
     "RetryPolicy",
     "ShardOutcome",
     "ShardSpec",
+    "SupervisedPool",
     "classify_error",
     "fingerprint_digest",
     "terminate_pool",

@@ -14,8 +14,8 @@ structured result instead of dying:
   shard *i* always receives the child sequence with
   ``spawn_key == (i,)``, so aggregates are bit-identical across
   ``workers=1``, ``workers=N``, and a kill-then-resume run.
-* **Supervised workers.**  Shards execute on a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with per-shard
+* **Supervised workers.**  ``workers`` threads feed shards to one
+  :class:`~repro.runtime.supervision.SupervisedPool` with per-shard
   wall-clock timeouts.  A shard that raises is retried with exponential
   backoff (the policy shape of
   :class:`~repro.bisr.escalation.EscalationPolicy`); a shard that
@@ -23,7 +23,7 @@ structured result instead of dying:
   suspects are re-flown one at a time to separate the guilty shard from
   innocent bystanders, and a shard that crashes a worker more than
   ``crash_retries`` times is quarantined — it can never re-kill the
-  pool.
+  pool.  Crash reflights and innocent requeues cost no attempt.
 * **Journaled checkpoints.**  Finalised shards are appended to a
   :class:`~repro.runtime.journal.CheckpointJournal`; an interrupted
   campaign resumes by adopting journaled outcomes and running only the
@@ -39,33 +39,20 @@ structured result instead of dying:
 from __future__ import annotations
 
 import random
-import time
-from collections import Counter, deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.errors import ConfigError
-from repro.runtime.journal import CheckpointJournal, fingerprint_digest
-
-# The supervision mechanics (retry policy, crash blame, scheduling,
-# pool teardown) are shared with the service tier's process-pool build
-# backend; re-exported here because this module was their first home.
-from repro.runtime.supervision import (  # noqa: F401 - re-exports
-    CrashBlame,
-    DeadlineTable,
-    DelayQueue,
+from repro.runtime.journal import CheckpointJournal
+from repro.runtime.supervision import (
     RetryPolicy,
+    SupervisedPool,
+    TaskOutcome,
     classify_error,
-    terminate_pool,
 )
 
 # ---------------------------------------------------------------------------
@@ -303,7 +290,6 @@ class CampaignRunner:
             journal-free.
         resume: adopt finalised shards from an existing journal instead
             of starting over (requires a matching fingerprint).
-        poll_s: supervisor wake-up interval in seconds.
     """
 
     def __init__(
@@ -313,20 +299,16 @@ class CampaignRunner:
         retry: Optional[RetryPolicy] = None,
         checkpoint: Optional[str] = None,
         resume: bool = False,
-        poll_s: float = 0.05,
     ) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise ConfigError("timeout_s must be positive (or None)")
-        if poll_s <= 0:
-            raise ConfigError("poll_s must be positive")
         self.workers = workers
         self.timeout_s = timeout_s
         self.retry = retry or RetryPolicy()
         self.checkpoint = checkpoint
         self.resume = resume
-        self.poll_s = poll_s
 
     # -- public API ---------------------------------------------------------
 
@@ -372,161 +354,41 @@ class CampaignRunner:
             shards=ordered,
         )
 
-    # -- the supervision loop -----------------------------------------------
+    # -- supervision --------------------------------------------------------
 
     def _supervise(self, spec, children, todo, outcomes, journal) -> None:
-        attempts = {i: 0 for i in todo}
-        blame = CrashBlame(self.retry.crash_retries)
-        pending = deque(todo)
-        delayed = DelayQueue()  # backoff: (eligible_time, index)
-        solo = deque()  # crash suspects, re-flown one at a time
-        in_flight: Dict[Future, int] = {}
-        deadlines = DeadlineTable()
-        pool: Optional[ProcessPoolExecutor] = None
+        pool = SupervisedPool(self.workers, self.retry, self.timeout_s)
+        params = dict(spec.params)
 
-        def finalize(outcome: ShardOutcome) -> None:
-            outcomes[outcome.index] = outcome
-            if journal is not None:
-                journal.record(outcome.journal_payload())
+        def run_shard(index: int) -> ShardOutcome:
+            def attempt(number: int):
+                shard = ShardSpec(index=index, n_shards=spec.n_shards,
+                                  seed_seq=children[index], attempt=number)
+                return pool.submit(_execute_shard, spec.task, params, shard)
 
-        def fail_or_retry(index: int, taxonomy: str, message: str,
-                          progress: Optional[float] = None) -> None:
-            if (taxonomy != "config"
-                    and attempts[index] < self.retry.max_attempts):
-                eta = time.monotonic() \
-                    + self.retry.backoff_s(attempts[index])
-                delayed.push(eta, index)
-            else:
-                finalize(ShardOutcome(
-                    index=index, status="failed",
-                    attempts=attempts[index], taxonomy=taxonomy,
-                    message=message, progress=progress,
-                ))
+            return _shard_outcome(index, pool.run(index, attempt))
 
-        def handle_crash(suspects: List[int]) -> None:
-            # Guilt is ambiguous when several shards were in flight, so
-            # every suspect is re-flown alone; only a shard that crashes
-            # a worker while flying solo (or repeatedly) is quarantined.
-            quarantined, resuspects = blame.accuse(suspects)
-            for index in quarantined:
-                finalize(ShardOutcome(
-                    index=index, status="quarantined",
-                    attempts=attempts[index], taxonomy="crash",
-                    message=(f"worker died {blame.crashes(index)} "
-                             f"time(s) running this shard"),
-                ))
-            solo.extend(resuspects)
+        feeders = ThreadPoolExecutor(max_workers=self.workers)
+        try:
+            for future in as_completed([feeders.submit(run_shard, index)
+                                        for index in todo]):
+                outcome = future.result()
+                outcomes[outcome.index] = outcome
+                if journal is not None:
+                    journal.record(outcome.journal_payload())
+        finally:
+            feeders.shutdown(wait=False, cancel_futures=True)
+            pool.close()
+            feeders.shutdown(wait=True)
 
-        def discard_pool() -> None:
-            nonlocal pool
-            terminate_pool(pool)
-            pool = None
 
-        def submit(index: int) -> None:
-            nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=self.workers)
-            attempts[index] += 1
-            shard = ShardSpec(index=index, n_shards=spec.n_shards,
-                              seed_seq=children[index],
-                              attempt=attempts[index])
-            try:
-                future = pool.submit(_execute_shard, spec.task,
-                                     dict(spec.params), shard)
-            except BrokenExecutor:
-                suspects = [index] + list(in_flight.values())
-                in_flight.clear()
-                deadlines.clear()
-                discard_pool()
-                handle_crash(suspects)
-                return
-            in_flight[future] = index
-            if self.timeout_s is not None:
-                deadlines.arm(future, time.monotonic() + self.timeout_s)
-
-        while pending or delayed or solo or in_flight:
-            now = time.monotonic()
-            pending.extend(delayed.pop_ready(now))
-
-            # Fill execution slots.  Crash suspects fly strictly alone
-            # so the next pool death identifies its killer.
-            if solo and not in_flight:
-                submit(solo.popleft())
-            elif not solo:
-                while (pending and not solo
-                       and len(in_flight) < self.workers):
-                    submit(pending.popleft())
-
-            if not in_flight:
-                eta = delayed.next_eta()
-                if eta is not None:
-                    time.sleep(max(0.0, min(eta - time.monotonic(),
-                                            self.poll_s)))
-                continue
-
-            done, _ = wait(list(in_flight), timeout=self.poll_s,
-                           return_when=FIRST_COMPLETED)
-            broken = False
-            suspects: List[int] = []
-            for future in done:
-                index = in_flight.pop(future)
-                deadlines.disarm(future)
-                try:
-                    payload = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    suspects.append(index)
-                    continue
-                except Exception as error:
-                    # Runner-side failure (e.g. an unpicklable result):
-                    # goes through the same retry ladder.
-                    fail_or_retry(index, classify_error(error),
-                                  f"{type(error).__name__}: {error}")
-                    continue
-                if payload["status"] == "ok":
-                    finalize(ShardOutcome(
-                        index=index, status="ok",
-                        attempts=attempts[index],
-                        result=payload["result"],
-                    ))
-                else:
-                    fail_or_retry(index, payload["taxonomy"],
-                                  payload["message"],
-                                  payload.get("progress"))
-
-            if broken:
-                # The pool died under us: every other in-flight shard
-                # is doomed (and a suspect) too.
-                suspects.extend(in_flight.values())
-                in_flight.clear()
-                deadlines.clear()
-                discard_pool()
-                handle_crash(suspects)
-                continue
-
-            if self.timeout_s is not None and deadlines:
-                now = time.monotonic()
-                overdue = [f for f in deadlines.overdue(now)
-                           if not f.done()]
-                if overdue:
-                    # The only way to stop a hung worker is to kill the
-                    # pool; innocents are requeued at the front (their
-                    # results are deterministic, only time is lost).
-                    overdue_set = set(overdue)
-                    innocents = [i for f, i in in_flight.items()
-                                 if f not in overdue_set]
-                    for future in overdue:
-                        index = in_flight.pop(future)
-                        fail_or_retry(
-                            index, "timeout",
-                            f"shard exceeded the {self.timeout_s:g}s "
-                            f"wall-clock budget",
-                        )
-                    in_flight.clear()
-                    deadlines.clear()
-                    discard_pool()
-                    for index in reversed(innocents):
-                        pending.appendleft(index)
-
-        if pool is not None:
-            pool.shutdown(wait=True)
+def _shard_outcome(index: int, task: TaskOutcome) -> ShardOutcome:
+    if task.status == "ok":
+        return ShardOutcome(index=index, status="ok",
+                            attempts=task.attempts,
+                            result=task.payload["result"])
+    return ShardOutcome(index=index, status=task.status,
+                        attempts=task.attempts,
+                        taxonomy=task.payload["taxonomy"],
+                        message=task.payload["message"],
+                        progress=task.payload.get("progress"))

@@ -47,7 +47,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from repro.core.durability import fsync_dir, fsync_file
+from repro.core.durability import fsync_dir, replace_atomically
 from repro.core.errors import ConfigError
 from repro.core.liveness import process_start_time, same_process
 
@@ -202,9 +202,4 @@ class Lease:
         }
 
     def _write(self, record: dict) -> None:
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True))
-            fsync_file(handle)
-        os.replace(tmp, self.path)
-        fsync_dir(self.path.parent)
+        replace_atomically(self.path, json.dumps(record, sort_keys=True))
