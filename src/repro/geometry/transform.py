@@ -71,6 +71,12 @@ class Transform:
     orientation: Orientation = Orientation.R0
     translation: Point = Point(0, 0)
 
+    @property
+    def matrix(self):
+        """The orientation as ``(a, b, c, d)``: ``x' = a*x + b*y + tx``,
+        ``y' = c*x + d*y + ty``."""
+        return _MATRICES[self.orientation]
+
     def apply(self, point: Point) -> Point:
         """Transform a single point."""
         a, b, c, d = _MATRICES[self.orientation]

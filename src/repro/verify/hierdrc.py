@@ -30,16 +30,28 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry import Rect
+import numpy as np
+
+from repro.geometry import Rect, Transform
 from repro.layout.cell import Cell
 from repro.layout.drc import (
     DrcChecker,
     DrcViolation,
-    _DisjointSet,
-    _close_box_pairs,
-    _merged,
+    gate_hits,
+    gate_violation,
+    own_layers,
+    placed,
+    rect_array,
+    solid,
+    space_violation,
+    spacing_hits,
+    touching,
 )
 from repro.tech.process import Process
+
+#: A zone's shapes on one layer: ``(n, 4)`` coordinates and the source
+#: of each row (0 = parent-drawn, k = the parent's k-th instance).
+Sourced = Tuple[np.ndarray, np.ndarray]
 
 
 def cell_hash(cell: Cell, memo: Optional[dict] = None) -> str:
@@ -57,11 +69,11 @@ def cell_hash(cell: Cell, memo: Optional[dict] = None) -> str:
     if key in memo:
         return memo[key]
     digest = hashlib.sha256()
-    for layer, rect in sorted(cell.shapes()):
-        if rect.area == 0:
-            continue
-        digest.update(
-            f"s:{layer}:{rect.x1}:{rect.y1}:{rect.x2}:{rect.y2};".encode())
+    # (layer, x1, y1, x2, y2) tuples sort as (layer, Rect) pairs do.
+    for layer, x1, y1, x2, y2 in sorted(
+            (layer, r.x1, r.y1, r.x2, r.y2) for layer, r in cell.shapes()
+            if r.x1 != r.x2 and r.y1 != r.y2):
+        digest.update(f"s:{layer}:{x1}:{y1}:{x2}:{y2};".encode())
     children = []
     for inst in cell.instances():
         t = inst.transform
@@ -143,34 +155,48 @@ def _halo_cu(process: Process) -> int:
     return max(values) if values else 0
 
 
-def _shapes_in_region(cell: Cell, transform, region: Rect,
-                      out: List[Tuple[str, Rect]]) -> None:
+def _own_shapes(cell: Cell, memo: dict) -> Dict[str, np.ndarray]:
+    """A cell's own drawn shapes per layer as arrays, memoized per cell.
+
+    Zero-area shapes are dropped: they are markers with no DRC
+    significance.
+    """
+    found = memo.get(id(cell))
+    if found is None:
+        found = memo[id(cell)] = {}
+        for layer, coords in own_layers(cell).items():
+            drawn = solid(coords)
+            if len(drawn):
+                found[layer] = drawn
+    return found
+
+
+def _shapes_in_region(cell: Cell, transform: Transform, region: Rect,
+                      source: int,
+                      out: Dict[str, List[Tuple[np.ndarray, int]]],
+                      memo: dict) -> None:
     """Collect ``cell``'s flattened shapes intersecting ``region``.
 
-    The descent is pruned on bounding boxes, so the cost scales with
-    the shapes near the region, not with the cell's total area.
+    Appends ``(coords, source)`` chunks per layer in depth-first
+    drawing order.  The descent is pruned on bounding boxes, so the
+    cost scales with the shapes near the region, not with the cell's
+    total area.
     """
     box = cell.bbox()
-    if box is None:
+    if box is None or not box.transformed(transform).intersects(region):
         return
-    placed_box = box if transform is None else box.transformed(transform)
-    if not placed_box.intersects(region):
-        return
-    for layer, rect in cell.shapes():
-        if rect.area == 0:
-            continue
-        placed = rect if transform is None else rect.transformed(transform)
-        if placed.intersects(region):
-            out.append((layer, placed))
+    for layer, coords in _own_shapes(cell, memo).items():
+        coords = placed(coords, transform)
+        hit = coords[touching(coords, region)]
+        if len(hit):
+            out.setdefault(layer, []).append((hit, source))
     for inst in cell.instances():
-        eff = (inst.transform if transform is None
-               else transform.compose(inst.transform))
-        _shapes_in_region(inst.cell, eff, region, out)
+        _shapes_in_region(inst.cell, transform.compose(inst.transform),
+                          region, source, out, memo)
 
 
 def _cross_spacing(checker: DrcChecker, layer: str,
-                   items: Sequence[Tuple[Rect, int]],
-                   ) -> List[DrcViolation]:
+                   items: Sourced) -> List[DrcViolation]:
     """Spacing between shapes of *different* sources only.
 
     Groups all shapes with the deck's connectivity semantics (an
@@ -179,102 +205,44 @@ def _cross_spacing(checker: DrcChecker, layer: str,
     from different sources.  Same-source violations were already caught
     by that source's own flat check.
     """
+    coords, sources = items
     required = checker.process.rules.rules.get(f"space.{layer}")
-    if required is None or len(items) < 2:
+    if required is None or len(coords) < 2:
         return []
     corner_touch = checker.process.rules.corner_touch_connects()
-    rects = [r for r, _ in items]
-    sources = [s for _, s in items]
-    n = len(rects)
-    ds = _DisjointSet(n)
-    order = sorted(range(n), key=lambda i: rects[i].x1)
-    active: List[int] = []
-    for idx in order:
-        r = rects[idx]
-        active = [a for a in active if rects[a].x2 >= r.x1]
-        for a in active:
-            if _merged(rects[a], r, corner_touch):
-                ds.union(a, idx)
-        active.append(idx)
-    groups: Dict[int, List[int]] = {}
-    for i in range(n):
-        groups.setdefault(ds.find(i), []).append(i)
-    members = list(groups.values())
-    if len(members) < 2:
-        return []
-    boxes = []
-    for g in members:
-        box = rects[g[0]]
-        for i in g[1:]:
-            box = box.union_bbox(rects[i])
-        boxes.append(box)
-    out: List[DrcViolation] = []
-    for i, j in _close_box_pairs(boxes, required):
-        # Any violating pair has each shape within the rule distance of
-        # the *other group's* bbox, so prune both sides to their
-        # boundary shapes before the cross product.
-        cand_a = [a for a in members[i]
-                  if rects[a].spacing_to(boxes[j]) < required]
-        cand_b = [b for b in members[j]
-                  if rects[b].spacing_to(boxes[i]) < required]
-        if not cand_a or not cand_b:
-            continue
-        gap, pair = min(
-            ((rects[a].spacing_to(rects[b]), (a, b))
-             for a in cand_a for b in cand_b),
-            key=lambda item: item[0],
-        )
-        if gap >= required or (gap == 0 and corner_touch):
-            continue
-        a, b = pair
-        if sources[a] == sources[b] and sources[a] != 0:
-            continue  # intra-instance: the child's own check owns it
-        # Source 0 (parent-drawn routing) has no flat check of its
-        # own, so own-vs-own pairs are flagged here too.
-        where = rects[a].union_bbox(rects[b])
-        out.append(
-            DrcViolation("min-space", layer, gap, required, where))
-    return out
+    gap, a, b = spacing_hits(coords, required, corner_touch)
+    # Source 0 (parent-drawn routing) has no flat check of its own, so
+    # own-vs-own pairs are flagged here too; any other same-source pair
+    # is intra-instance, owned by the child's own check.
+    keep = (sources[a] != sources[b]) | (sources[a] == 0)
+    return [space_violation(layer, required, g, coords[i], coords[j])
+            for g, i, j in zip(gap[keep], a[keep], b[keep])]
 
 
-def _cross_gates(checker: DrcChecker,
-                 polys: Sequence[Tuple[Rect, int]],
-                 diffs: Sequence[Tuple[Rect, int]],
-                 ) -> List[DrcViolation]:
-    """Gate-endcap check for poly/diffusion pairs from different sources."""
+def _cross_gates(checker: DrcChecker, polys: Optional[Sourced],
+                 diffs: Optional[Sourced]) -> List[DrcViolation]:
+    """Gate-endcap check for poly/diffusion pairs from different sources.
+
+    As in :func:`_cross_spacing`, a gate the parent drew entirely
+    itself (both shapes from source 0) is checked here too: no flat
+    check owns it.  Reported diffusion by diffusion, each diffusion's
+    gates in the x1 order of their poly.
+    """
     endcap = checker.process.rules.rules.get("overhang.gate_poly")
-    if endcap is None or not polys or not diffs:
+    if endcap is None or polys is None or diffs is None:
         return []
-    from bisect import bisect_right
-
-    by_x1 = sorted(polys, key=lambda item: item[0].x1)
-    x1s = [item[0].x1 for item in by_x1]
-    out: List[DrcViolation] = []
-    for diff, src_d in diffs:
-        for poly, src_p in by_x1[:bisect_right(x1s, diff.x2)]:
-            if src_p == src_d or poly.x2 < diff.x1:
-                continue
-            if not poly.overlaps(diff):
-                continue
-            channel = poly.intersection(diff)
-            if channel is None or channel.area == 0:
-                continue
-            crosses_x = poly.x1 <= diff.x1 and poly.x2 >= diff.x2
-            crosses_y = poly.y1 <= diff.y1 and poly.y2 >= diff.y2
-            if crosses_x:
-                margin = min(diff.x1 - poly.x1, poly.x2 - diff.x2)
-            elif crosses_y:
-                margin = min(diff.y1 - poly.y1, poly.y2 - diff.y2)
-            else:
-                margin = -1
-            if margin < endcap:
-                out.append(DrcViolation(
-                    "gate-endcap", "poly", max(margin, 0), endcap, channel))
-    return out
+    (poly, src_p), (diff, src_d) = polys, diffs
+    d, p, margin = gate_hits(poly, diff, endcap)
+    keep = (src_p[p] != src_d[d]) | (src_p[p] == 0)
+    d, p, margin = d[keep], p[keep], margin[keep]
+    x_rank = np.empty(len(poly), dtype=np.int64)
+    x_rank[np.argsort(poly[:, 0], kind="stable")] = np.arange(len(poly))
+    return [gate_violation(poly[p[k]], diff[d[k]], margin[k], endcap)
+            for k in np.lexsort((x_rank[p], d))]
 
 
 def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
-                     hash_memo: dict,
+                     hash_memo: dict, shape_memo: dict,
                      max_violations: int) -> List[DrcViolation]:
     """Check one composite cell's assembly seams via interaction zones.
 
@@ -294,45 +262,43 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
 
     # Parent-level drawn geometry gets the full width check; instance
     # shapes already passed their own cell's check.
-    own_by_layer: Dict[str, List[Rect]] = {}
-    for layer, rect in own:
-        own_by_layer.setdefault(layer, []).append(rect)
-    for layer, rects in sorted(own_by_layer.items()):
-        violations.extend(checker._check_width(layer, rects))
+    own_by_layer = _own_shapes(cell, shape_memo)
+    for layer in sorted(own_by_layer):
+        violations.extend(checker._check_width(layer, own_by_layer[layer]))
         if len(violations) >= max_violations:
             return violations[:max_violations]
 
     insts = list(cell.instances())
     boxes = [inst.bbox() for inst in insts]
 
-    def zone_items(region: Rect) -> Dict[str, List[Tuple[Rect, int]]]:
-        by_layer: Dict[str, List[Tuple[Rect, int]]] = {}
-        for layer, rect in own:
-            if rect.intersects(region):
-                by_layer.setdefault(layer, []).append((rect, 0))
+    def zone_items(region: Rect) -> Dict[str, Sourced]:
+        chunks: Dict[str, List[Tuple[np.ndarray, int]]] = {}
+        for layer, coords in own_by_layer.items():
+            hit = coords[touching(coords, region)]
+            if len(hit):
+                chunks.setdefault(layer, []).append((hit, 0))
         for k, inst in enumerate(insts):
             if boxes[k] is None or not boxes[k].intersects(region):
                 continue
-            collected: List[Tuple[str, Rect]] = []
-            _shapes_in_region(inst.cell, inst.transform, region, collected)
-            for layer, rect in collected:
-                by_layer.setdefault(layer, []).append((rect, k + 1))
-        return by_layer
+            _shapes_in_region(inst.cell, inst.transform, region, k + 1,
+                              chunks, shape_memo)
+        return {layer: (np.concatenate([c for c, _ in parts]),
+                        np.concatenate([np.full(len(c), src)
+                                        for c, src in parts]))
+                for layer, parts in chunks.items()}
 
     def check_zone(region: Rect) -> List[DrcViolation]:
         found: List[DrcViolation] = []
         by_layer = zone_items(region)
-        for layer, items in sorted(by_layer.items()):
-            n_own = sum(1 for _, src in items if src == 0)
-            if len({src for _, src in items}) < 2 and n_own < 2:
+        for layer in sorted(by_layer):
+            sources = by_layer[layer][1]
+            n_own = np.count_nonzero(sources == 0)
+            if sources.min() == sources.max() and n_own < 2:
                 continue
-            found.extend(_cross_spacing(checker, layer, items))
+            found.extend(_cross_spacing(checker, layer, by_layer[layer]))
         for diff_layer in ("ndiff", "pdiff"):
             found.extend(_cross_gates(
-                checker,
-                by_layer.get("poly", ()),
-                by_layer.get(diff_layer, ()),
-            ))
+                checker, by_layer.get("poly"), by_layer.get(diff_layer)))
         return found
 
     # Instance-pair zones, deduped by relative placement: sweep over
@@ -383,14 +349,16 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
     own_cuts = [(layer, rect) for layer, rect in own
                 if layer in DrcChecker._CUT_ENCLOSURES]
     if own_cuts:
-        enclosure_view: Dict[str, List[Rect]] = {}
+        parts: Dict[str, List[np.ndarray]] = {}
         for _, cut in own_cuts:
-            for layer, items in zone_items(cut.expanded(halo)).items():
-                enclosure_view.setdefault(layer, []).extend(
-                    r for r, _ in items)
+            for layer, (coords, _) in zone_items(cut.expanded(halo)).items():
+                parts.setdefault(layer, []).append(coords)
+        enclosure_view = {layer: np.concatenate(chunks)
+                          for layer, chunks in parts.items()}
         for cut_layer in DrcChecker._CUT_ENCLOSURES:
             if cut_layer in enclosure_view:
-                enclosure_view[cut_layer] = own_by_layer.get(cut_layer, [])
+                enclosure_view[cut_layer] = own_by_layer.get(
+                    cut_layer, rect_array(()))
         violations.extend(checker._check_enclosures(enclosure_view))
 
     return _dedup(violations)[:max_violations]
@@ -426,6 +394,7 @@ def hierarchical_drc(
     deck = process.rules.digest()
     halo = _halo_cu(process)
     hash_memo: dict = {}
+    shape_memo: dict = {}
     result = HierDrcResult()
     hits0, misses0 = cache.hits, cache.misses
     t0 = time.perf_counter()
@@ -451,7 +420,7 @@ def hierarchical_drc(
             else:
                 composite_checks += 1
                 verdict = tuple(_composite_check(
-                    sub, checker, halo, hash_memo, budget))
+                    sub, checker, halo, hash_memo, shape_memo, budget))
             cache.store(key, verdict)
         if verdict:
             bucket = (result.leaf_violations if is_leaf

@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import RamConfig
 from repro.layout.cell import Cell
-from repro.layout.drc import _DisjointSet, _merged
+from repro.layout.drc import close_pairs, group_labels, merged_mask, rect_array
 from repro.pnr.connectivity import _through_key, connectivity_graph
 from repro.tech.process import Process
 from repro.verify.report import SignoffFinding
@@ -108,22 +110,18 @@ def _geometry_bridges(parent: Cell, process: Process,
         landings = port_rects.get(layer, [])
         if not landings:
             continue
-        groups = _DisjointSet(len(rects))
-        order = sorted(range(len(rects)), key=lambda i: rects[i].x1)
-        active: List[int] = []
-        for idx in order:
-            r = rects[idx]
-            active = [a for a in active if rects[a].x2 >= r.x1]
-            for a in active:
-                if _merged(rects[a], r, corner_touch):
-                    groups.union(a, idx)
-            active.append(idx)
+        shapes = rect_array(rects)
+        labels = group_labels(shapes, corner_touch)
+        ports = rect_array([prect for _, prect in landings])
+        # Each landing joins the group of the first shape it touches.
+        p, r = close_pairs(ports, shapes)
+        hit = merged_mask(ports[p], shapes[r], corner_touch)
+        touched = np.full(len(ports), len(shapes))
+        np.minimum.at(touched, p[hit], r[hit])
         by_group: Dict[int, List[Endpoint]] = {}
-        for endpoint, prect in landings:
-            for i, r in enumerate(rects):
-                if _merged(r, prect, corner_touch):
-                    by_group.setdefault(groups.find(i), []).append(endpoint)
-                    break
+        for (endpoint, _), i in zip(landings, touched):
+            if i < len(shapes):
+                by_group.setdefault(int(labels[i]), []).append(endpoint)
         for members in by_group.values():
             first = members[0]
             for other in members[1:]:
