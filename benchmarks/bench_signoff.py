@@ -16,8 +16,9 @@ import pytest
 from conftest import print_table
 from repro.core.compiler import compile_ram
 from repro.core.config import RamConfig
+from repro.core.stages import StageCache
 from repro.tech import get_process
-from repro.verify import DrcCache, hierarchical_drc, run_signoff
+from repro.verify import hierarchical_drc, run_signoff
 
 NODES = ("cda05", "mos06", "cda07", "mos08")
 
@@ -33,7 +34,7 @@ def test_leaf_cache_speedup_across_nodes():
         compiled = compile_ram(_small_config(node))
         top = compiled.floorplan.top
         process = get_process(node)
-        cache = DrcCache()
+        cache = StageCache()
 
         t0 = time.perf_counter()
         cold = hierarchical_drc(top, process, cache=cache)
@@ -64,7 +65,7 @@ def test_full_macro_signoff_walltime(benchmark):
     """One complete stage-gate signoff (DRC + LVS + control), timed."""
     config = _small_config("cda07")
     compiled = compile_ram(config)
-    cache = DrcCache()
+    cache = StageCache()
 
     # Cold pass populates the cache; the benchmarked pass is the
     # steady-state cost a rebuild pays.

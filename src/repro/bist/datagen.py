@@ -74,10 +74,6 @@ class DataGen:
         return self.bpw.bit_length()
 
     @property
-    def background_count(self) -> int:
-        return len(self._patterns)
-
-    @property
     def done(self) -> bool:
         """True when the last background is selected."""
         return self.index == len(self._patterns) - 1

@@ -226,9 +226,6 @@ class Netlist:
             names.add(v.node)
         return names
 
-    def device_count(self) -> int:
-        return len(self.mosfets) + len(self.resistors) + len(self.capacitors)
-
     def node_capacitance(self, vdd_node: str = "vdd") -> Dict[str, float]:
         """Total lumped capacitance to ground seen at each node.
 

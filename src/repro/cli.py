@@ -119,63 +119,38 @@ def _confirm_spec(text: str) -> tuple:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    use_cache = args.cache_dir is not None and not args.no_cache
-    if use_cache and not (args.ascii or args.svg):
-        # The service path: artifacts come as stored bytes, and a hit
-        # never touches the compiler at all.  --ascii/--svg need the
-        # live compiled object, so they take the direct path below.
-        return _compile_via_store(args, config)
-    ram = compile_ram(config, signoff=args.policy)
-    if use_cache:
-        # Direct build (render flags) but keep the store warm so the
-        # next cached invocation of this geometry hits.
-        from repro.service import ArtifactStore, bundle_key, render_bundle
-
-        store = ArtifactStore(args.cache_dir)
-        store.put(bundle_key(config, IFA_9, args.policy),
-                  render_bundle(ram))
-    if ram.signoff is not None:
-        print(ram.signoff.summary())
-        print()
-    print(ram.datasheet.summary())
-    ar = ram.area_report
-    print(f"\narea: {ar.total_mm2:.3f} mm^2 "
-          f"(plain {ar.baseline_mm2:.3f}, overhead "
-          f"{ar.overhead_percent:.2f}%, BIST/BISR alone "
-          f"{ar.bist_bisr_only_percent:.2f}%)")
-    if args.ascii:
-        print()
-        print(ram.render_ascii())
-    if args.svg:
-        with open(args.svg, "w") as handle:
-            handle.write(ram.render_svg())
-        print(f"wrote {args.svg}")
-    if args.cif:
-        ram.write_cif(args.cif)
-        print(f"wrote {args.cif}")
-    if args.control_dir:
-        paths = ram.write_control_code(args.control_dir)
-        print(f"wrote {paths['and']} and {paths['or']}")
-    return 0
-
-
-def _compile_via_store(args: argparse.Namespace,
-                       config: RamConfig) -> int:
-    """``compile --cache-dir``: serve/publish through the artifact
-    store; cached and fresh runs write byte-identical artifacts."""
+    """Build (or fetch) one macro, then print and write from its bundle
+    bytes, so cached and direct runs produce identical output."""
     import json
     from pathlib import Path
 
-    from repro.service import ArtifactStore, compile_cached
+    from repro.service import (
+        ArtifactStore,
+        bundle_key,
+        compile_cached,
+        render_bundle,
+    )
     from repro.verify.report import SignoffReport
 
-    store = ArtifactStore(args.cache_dir)
-    bundle, hit, key = compile_cached(config, IFA_9,
-                                      signoff=args.policy, store=store)
-    print(f"cache {'HIT' if hit else 'MISS'} {key[:16]} "
-          f"({args.cache_dir})")
-    if args.policy and "signoff.json" in bundle:
+    config = _config_from(args)
+    store = None
+    if args.cache_dir is not None and not args.no_cache:
+        store = ArtifactStore(args.cache_dir)
+    ram = None
+    if args.ascii or args.svg:
+        # The plots need the live compiled object; the store stays
+        # warm so the next cached run of this geometry hits.
+        ram = compile_ram(config, signoff=args.policy)
+        bundle = render_bundle(ram)
+        if store is not None:
+            store.put(bundle_key(config, IFA_9, args.policy), bundle)
+    else:
+        bundle, hit, key = compile_cached(config, IFA_9,
+                                          signoff=args.policy, store=store)
+        if store is not None:
+            print(f"cache {'HIT' if hit else 'MISS'} {key[:16]} "
+                  f"({args.cache_dir})")
+    if "signoff.json" in bundle:
         report = SignoffReport.from_dict(
             json.loads(bundle["signoff.json"].decode("utf-8")))
         print(report.summary())
@@ -186,6 +161,13 @@ def _compile_via_store(args: argparse.Namespace,
           f"(plain {area['baseline_mm2']:.3f}, overhead "
           f"{area['overhead_percent']:.2f}%, BIST/BISR alone "
           f"{area['bist_bisr_only_percent']:.2f}%)")
+    if args.ascii:
+        print()
+        print(ram.render_ascii())
+    if args.svg:
+        with open(args.svg, "w") as handle:
+            handle.write(ram.render_svg())
+        print(f"wrote {args.svg}")
     if args.cif:
         Path(args.cif).write_bytes(bundle["macro.cif"])
         print(f"wrote {args.cif}")

@@ -13,7 +13,9 @@
   signoff),
 * :mod:`~repro.core.canonical` — the canonical-JSON digest recipe
   shared by stage keys, artifact-store keys, and campaign
-  fingerprints.
+  fingerprints,
+* :mod:`~repro.core.counters` — the thread-safe named counters every
+  stats report is built from.
 """
 
 from repro.core.canonical import canonical_json, stable_digest

@@ -130,12 +130,6 @@ class RamConfig:
         """
         return (self.spares * self.bpc) / self.words
 
-    @property
-    def strap_count(self) -> int:
-        if not self.strap_every:
-            return 0
-        return max(0, (self.columns - 1) // self.strap_every)
-
     # -- canonical identity ---------------------------------------------------
 
     def to_dict(self) -> dict:

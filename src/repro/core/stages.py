@@ -4,10 +4,10 @@
 floorplan -> layout -> control planes -> datasheet -> signoff — whose
 stages are pure functions of the configuration, the march test, and
 the process rule deck.  A :class:`StageCache` memoises each stage's
-product against a content key (the same content-hash posture as the
-DRC verdict cache in :mod:`repro.verify.hierdrc`), so a rebuild that
-changes nothing reuses everything, and a build that only changes the
-signoff policy reuses the cached layout.
+product against a content key, so a rebuild that changes nothing
+reuses everything, and a build that only changes the signoff policy
+reuses the cached layout.  The DRC verdict cache of
+:mod:`repro.verify.hierdrc` is a :class:`StageCache` too.
 
 The cache is **opt-in and explicitly shared**: cached products are the
 live objects (a floorplan's cell hierarchy is not copied on hit), so a
@@ -25,6 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.counters import Counters, hit_rate
 from repro.core.errors import ConfigError
 
 #: Pipeline order; ``flow_report`` and the stats dict follow it.
@@ -62,6 +63,8 @@ class StageCache:
         max_entries: LRU bound on cached products (a floorplan for a
             large macro is the dominant cost, so the bound is a count,
             not bytes).
+        counts: hits, misses and evictions since construction or the
+            last :meth:`clear`.
     """
 
     def __init__(self, max_entries: int = 64) -> None:
@@ -71,9 +74,7 @@ class StageCache:
         self._entries: "OrderedDict[Tuple[str, str], object]" = \
             OrderedDict()
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.counts = Counters("hits", "misses", "evictions")
 
     def lookup(self, stage: str, key: str) -> Tuple[bool, object]:
         """``(hit, product)`` — the flag, not truthiness, is the
@@ -81,9 +82,9 @@ class StageCache:
         with self._lock:
             found = self._entries.get((stage, key), _MISS)
             if found is _MISS:
-                self.misses += 1
+                self.counts.add("misses")
                 return False, None
-            self.hits += 1
+            self.counts.add("hits")
             self._entries.move_to_end((stage, key))
             return True, found
 
@@ -93,33 +94,25 @@ class StageCache:
             self._entries.move_to_end((stage, key))
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
-                self.evictions += 1
+                self.counts.add("evictions")
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
+            self.counts.reset()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def stats(self) -> dict:
         """JSON-serializable counters."""
         with self._lock:
-            return {
-                "entries": len(self._entries),
-                "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": round(self.hit_rate, 4),
-            }
+            counts = self.counts.to_dict()
+            return dict(entries=len(self._entries),
+                        max_entries=self.max_entries, **counts,
+                        hit_rate=hit_rate(counts["hits"],
+                                          counts["misses"]))
 
 
 class StageRunner:

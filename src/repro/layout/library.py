@@ -11,7 +11,7 @@ satisfy the user.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Tuple
 
 from repro.layout.cell import Cell
 from repro.tech.process import Process
@@ -48,12 +48,6 @@ class CellLibrary:
     def register_user_cell(self, kind: str, cell: Cell) -> None:
         """Install a hand-crafted replacement for a generated leaf kind."""
         self._user_cells[kind] = cell
-
-    def user_cell(self, kind: str) -> Optional[Cell]:
-        return self._user_cells.get(kind)
-
-    def cached_kinds(self) -> Tuple[str, ...]:
-        return tuple(sorted({k for k, _ in self._cache}))
 
     def __len__(self) -> int:
         return len(self._cache) + len(self._user_cells)

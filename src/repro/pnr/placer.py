@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry import Point, Rect, Transform
+from repro.geometry import Point, Rect
 from repro.layout.cell import Cell
 
 
@@ -67,11 +67,6 @@ class Placement:
                 if self.locations[a].overlaps(self.locations[b]):
                     bad.append((a, b))
         return bad
-
-    def transform_for(self, name: str) -> Transform:
-        """Placement transform for a block (no rotation in shelf mode)."""
-        rect = self.locations[name]
-        return Transform(translation=Point(rect.x1, rect.y1))
 
 
 def place_decreasing_area(

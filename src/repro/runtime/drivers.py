@@ -323,6 +323,7 @@ def signoff_shard(params: dict, shard: ShardSpec) -> dict:
     import json
 
     from repro.core.config import RamConfig
+    from repro.service import ArtifactStore, compile_cached
     from repro.verify.report import SignoffReport
 
     processes = params["processes"]
@@ -333,22 +334,15 @@ def signoff_shard(params: dict, shard: ShardSpec) -> dict:
         gate_size=params.get("gate_size", 1),
         strap_every=params.get("strap_every", 32),
     )
-    cache_hit = False
-    if params.get("cache_dir"):
-        # Fetch through the artifact store: worker processes across
-        # shards (and across resumed campaign runs) share compiled
-        # macros instead of rebuilding identical geometry per node.
-        from repro.service import ArtifactStore, compile_cached
-
-        store = ArtifactStore(params["cache_dir"])
-        bundle, cache_hit, _ = compile_cached(
-            config, signoff="degrade", store=store)
-        report = SignoffReport.from_dict(
-            json.loads(bundle["signoff.json"].decode("utf-8")))
-    else:
-        from repro.core.compiler import compile_ram
-
-        report = compile_ram(config, signoff="degrade").signoff
+    # With a cache_dir, worker processes across shards (and across
+    # resumed campaign runs) share compiled macros through the store
+    # instead of rebuilding identical geometry per node.
+    cache_dir = params.get("cache_dir")
+    bundle, cache_hit, _ = compile_cached(
+        config, signoff="degrade",
+        store=ArtifactStore(cache_dir) if cache_dir else None)
+    report = SignoffReport.from_dict(
+        json.loads(bundle["signoff.json"].decode("utf-8")))
     return {
         "process": node,
         "clean": report.clean,
@@ -412,6 +406,7 @@ def techmatrix_shard(params: dict, shard: ShardSpec) -> dict:
     import json
 
     from repro.core.config import RamConfig
+    from repro.service import ArtifactStore, compile_cached
     from repro.verify.report import SignoffReport
 
     for directory in params.get("tech_dirs") or ():
@@ -430,22 +425,13 @@ def techmatrix_shard(params: dict, shard: ShardSpec) -> dict:
         gate_size=params.get("gate_size", 1),
         strap_every=params.get("strap_every", 32),
     )
-    cache_hit = False
-    if params.get("cache_dir"):
-        from repro.service import ArtifactStore, compile_cached
-
-        store = ArtifactStore(params["cache_dir"])
-        bundle, cache_hit, _ = compile_cached(
-            config, signoff="degrade", store=store)
-        cif = bundle["macro.cif"]
-        report = SignoffReport.from_dict(
-            json.loads(bundle["signoff.json"].decode("utf-8")))
-    else:
-        from repro.core.compiler import compile_ram
-
-        compiled = compile_ram(config, signoff="degrade")
-        cif = compiled.cif_text().encode("utf-8")
-        report = compiled.signoff
+    cache_dir = params.get("cache_dir")
+    bundle, cache_hit, _ = compile_cached(
+        config, signoff="degrade",
+        store=ArtifactStore(cache_dir) if cache_dir else None)
+    cif = bundle["macro.cif"]
+    report = SignoffReport.from_dict(
+        json.loads(bundle["signoff.json"].decode("utf-8")))
     return {
         "process": node,
         "ports": ports,

@@ -40,9 +40,10 @@ from concurrent.futures import (
     ProcessPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
+from repro.core.counters import Counters
 from repro.core.errors import (
     ConfigError,
     RepairExhausted,
@@ -203,27 +204,10 @@ MAX_INNOCENT_REQUEUES = 32
 FINAL_TAXONOMIES = ("config", "signoff")
 
 
-@dataclass
-class PoolStats:
-    """Supervision counters of one pool (callers may subclass to add
-    their own); :meth:`add` is the thread-safe way to bump one."""
-
-    retries: int = 0
-    crashes: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-    innocent_requeues: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def add(self, name: str, count: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + count)
-
-    def to_dict(self) -> dict:
-        with self._lock:
-            return {f.name: getattr(self, f.name) for f in fields(self)}
+#: Counters every :class:`SupervisedPool` bumps; a caller passing its
+#: own :class:`~repro.core.counters.Counters` must declare them.
+POOL_COUNTERS = ("retries", "crashes", "timeouts", "quarantined",
+                 "innocent_requeues")
 
 
 @dataclass(frozen=True)
@@ -288,18 +272,20 @@ class SupervisedPool:
         retry: the attempt/backoff/crash budget of every task.
         deadline_s: per-attempt wall-clock budget from the moment a task
             takes a slot, or None for unbounded.
-        stats: counters to update (a fresh :class:`PoolStats` if None).
+        stats: counters to update, declaring at least
+            :data:`POOL_COUNTERS` (fresh ones if None).
     """
 
     def __init__(self, workers: int, retry: RetryPolicy,
                  deadline_s: Optional[float] = None,
-                 stats: Optional[PoolStats] = None) -> None:
+                 stats: Optional[Counters] = None) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         self.workers = workers
         self.retry = retry
         self.deadline_s = deadline_s
-        self.stats = stats if stats is not None else PoolStats()
+        self.stats = stats if stats is not None \
+            else Counters(*POOL_COUNTERS)
         self._cond = threading.Condition()
         self._local = threading.local()
         self._executor: Optional[ProcessPoolExecutor] = None

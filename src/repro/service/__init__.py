@@ -37,11 +37,10 @@ from repro.service.server import (
     latency_summary,
     percentile,
 )
-from repro.service.store import ArtifactStore, StoreStats
+from repro.service.store import ArtifactStore
 
 __all__ = [
     "ArtifactStore",
-    "StoreStats",
     "bundle_key",
     "build_bundle",
     "render_bundle",

@@ -47,6 +47,7 @@ from typing import Dict, Optional
 
 from repro.bist.march import IFA_9, MarchTest
 from repro.core.config import RamConfig
+from repro.core.counters import Counters
 from repro.core.errors import (
     BuildCrashed,
     ConfigError,
@@ -54,7 +55,7 @@ from repro.core.errors import (
     SignoffError,
 )
 from repro.runtime.supervision import (
-    PoolStats,
+    POOL_COUNTERS,
     RetryPolicy,
     SupervisedPool,
     classify_error,
@@ -181,16 +182,6 @@ class BuildResult:
     attempts: int
 
 
-@dataclass
-class BackendStats(PoolStats):
-    """JSON-serializable counters for one backend instance: the pool's
-    supervision counters plus the backend's own."""
-
-    builds: int = 0
-    store_hits: int = 0
-    post_build_misses: int = 0
-
-
 # ---------------------------------------------------------------------------
 # the backend
 # ---------------------------------------------------------------------------
@@ -239,7 +230,9 @@ class ProcessPoolBackend:
         self.claim_stale_s = claim_stale_s if claim_stale_s is not None \
             else max(2.0 * deadline_s, 10.0)
         self.poll_s = poll_s
-        self.stats = BackendStats()
+        # The pool's supervision counters plus the backend's own.
+        self.stats = Counters(*POOL_COUNTERS, "builds", "store_hits",
+                              "post_build_misses")
         self._pool = SupervisedPool(workers, self.retry, deadline_s,
                                     stats=self.stats)
 

@@ -16,9 +16,10 @@ mechanisms absorb repeats and overload *in the moment*:
   lets every in-flight build finish (they are expensive; killing them
   wastes the work), then stops the pool.
 
-Metrics are first-class: per-request latency percentiles, hit/build/
-coalesce/reject counts, plus the store's and stage cache's own stats,
-all JSON-serializable for the HTTP ``/stats`` endpoint
+Metrics are first-class: request and build latency percentiles over a
+bounded window of the most recent samples, hit/build/coalesce/reject
+counts, plus the store's and stage cache's own stats, all
+JSON-serializable for the HTTP ``/stats`` endpoint
 (:mod:`repro.service.http`).
 """
 
@@ -27,18 +28,24 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bist.march import IFA_9, MarchTest, parse_march
 from repro.core.config import RamConfig
+from repro.core.counters import Counters
 from repro.core.durability import fsync_dir
 from repro.core.errors import ConfigError, ServiceUnavailable
 from repro.core.stages import StageCache
 from repro.service.bundle import bundle_key, compile_cached
 from repro.service.store import ArtifactStore
+
+#: Latency samples kept per window (request and build each): the
+#: summaries in ``/stats`` describe the most recent requests, and a
+#: server under sustained load holds a fixed amount of memory for them.
+LATENCY_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -201,22 +208,16 @@ class MacroServer:
         self._admitted = 0  # queued + running (coalesced joins excluded)
         self._draining = False
         # -- metrics --
-        self._request_latencies: List[float] = []
-        self._build_latencies: List[float] = []
-        self._requests = 0
-        self._builds = 0
-        self._store_hits = 0
-        self._coalesced = 0
-        self._rejected = 0
-        self._failures = 0
-        self._shed = 0
-        self._promotions = 0
+        self._request_latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._build_latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._counts = Counters("requests", "builds", "store_hits",
+                               "coalesced", "rejected", "failures",
+                               "shed", "promotions")
         self._endpoints: Counter = Counter()
         self._started = time.monotonic()
         # -- write-ahead log + crash recovery + HA threads --
         self._wal = wal
-        self._wal_replayed = 0
-        self._wal_replay_failures = 0
+        self._wal_counts = Counters("replayed", "replay_failures")
         self._ready = threading.Event()
         self._replay_thread: Optional[threading.Thread] = None
         self._ha_stop = threading.Event()
@@ -261,14 +262,14 @@ class MacroServer:
                     if self.governor is not None else "admitting")
         with self._lock:
             if self._draining:
-                self._rejected += 1
+                self._counts.add("rejected")
                 raise ServiceUnavailable(
                     "macro server is draining for shutdown",
                     reason="draining")
-            self._requests += 1
             existing = self._inflight.get(key)
             if existing is not None:
-                self._coalesced += 1
+                self._counts.add("requests")
+                self._counts.add("coalesced")
                 self._observe_request(existing, t_submit)
                 return existing
             if self.role == "standby":
@@ -278,22 +279,21 @@ class MacroServer:
                 return self._serve_hit_locked(key, t_submit,
                                               "resource_pressure")
             if pressure == "shedding":
-                self._requests -= 1
-                self._rejected += 1
-                self._shed += 1
+                self._counts.add("rejected")
+                self._counts.add("shed")
                 raise ServiceUnavailable(
                     "macro server is shedding load under resource "
                     "pressure (low disk or high memory); retry later",
                     reason="resource_pressure",
                     retry_after_s=self.governor.retry_after_s)
             if self._admitted >= self.queue_limit:
-                self._requests -= 1
-                self._rejected += 1
+                self._counts.add("rejected")
                 raise ServiceUnavailable(
                     f"macro server saturated "
                     f"({self.queue_limit} request(s) queued or "
                     f"running); retry later", reason="saturated")
             self._admitted += 1
+            self._counts.add("requests")
             request_id = None
             if self._wal is not None:
                 # Journaled (and fsynced) before any work is
@@ -366,10 +366,9 @@ class MacroServer:
         artifacts = self.store.get(key) if self.store is not None \
             else None
         if artifacts is None:
-            self._requests -= 1
-            self._rejected += 1
+            self._counts.add("rejected")
             if miss_reason == "resource_pressure":
-                self._shed += 1
+                self._counts.add("shed")
                 raise ServiceUnavailable(
                     "disk budget exhausted: serving store hits only "
                     "until space frees up",
@@ -379,7 +378,8 @@ class MacroServer:
                 "standby serves cache hits only until promoted; "
                 "retry against the primary or wait for failover",
                 reason="standby_miss")
-        self._store_hits += 1
+        self._counts.add("requests")
+        self._counts.add("store_hits")
         future: "Future[CompileResponse]" = Future()
         future.set_result(CompileResponse(
             key=key, cached=True, elapsed_s=0.0, artifacts=artifacts))
@@ -404,7 +404,7 @@ class MacroServer:
             if self.lease is not None and not self.lease.acquire():
                 return False
             self.role = "primary"
-            self._promotions += 1
+            self._counts.add("promotions")
         if self.lease is not None:
             self._start_heartbeat()
         self._open_wal_and_replay()
@@ -542,37 +542,35 @@ class MacroServer:
         return self._ready.wait(timeout)
 
     def stats(self) -> dict:
-        """JSON-serializable server + store + stage-cache metrics."""
+        """JSON-serializable server + store + stage-cache metrics.
+
+        Only the copies of the latency windows are taken under the
+        lock; sorting them for the summaries happens outside it, so a
+        ``/stats`` scrape never holds up :meth:`submit`.
+        """
         with self._lock:
-            data = {
-                "uptime_s": round(time.monotonic() - self._started, 3),
-                "role": self.role,
-                "workers": self.workers,
-                "queue_limit": self.queue_limit,
-                "batch_limit": self.batch_limit,
-                "draining": self._draining,
-                "ready": self.ready,
-                "inflight": len(self._inflight),
-                "requests": self._requests,
-                "builds": self._builds,
-                "store_hits": self._store_hits,
-                "coalesced": self._coalesced,
-                "rejected": self._rejected,
-                "failures": self._failures,
-                "shed": self._shed,
-                "promotions": self._promotions,
-                "endpoints": dict(self._endpoints),
-                "request_latency": latency_summary(
-                    self._request_latencies),
-                "build_latency": latency_summary(self._build_latencies),
-                "stage_cache": self.stage_cache.stats(),
-            }
-            if self._wal is not None:
-                data["wal"] = {
-                    "replayed": self._wal_replayed,
-                    "replay_failures": self._wal_replay_failures,
-                    "pending": len(self._wal.pending()),
-                }
+            inflight = len(self._inflight)
+            endpoints = dict(self._endpoints)
+            request_latencies = list(self._request_latencies)
+            build_latencies = list(self._build_latencies)
+        data = {
+            "uptime_s": round(time.monotonic() - self._started, 3),
+            "role": self.role,
+            "workers": self.workers,
+            "queue_limit": self.queue_limit,
+            "batch_limit": self.batch_limit,
+            "draining": self._draining,
+            "ready": self.ready,
+            "inflight": inflight,
+            **self._counts.to_dict(),
+            "endpoints": endpoints,
+            "request_latency": latency_summary(request_latencies),
+            "build_latency": latency_summary(build_latencies),
+            "stage_cache": self.stage_cache.stats(),
+        }
+        if self._wal is not None:
+            data["wal"] = dict(self._wal_counts.to_dict(),
+                               pending=len(self._wal.pending()))
         if self._backend is not None:
             data["backend"] = self._backend.stats_dict()
         if self.store is not None:
@@ -597,15 +595,11 @@ class MacroServer:
                     config, march, signoff=signoff, store=self.store,
                     stage_cache=self.stage_cache)
         except Exception:
-            with self._lock:
-                self._failures += 1
+            self._counts.add("failures")
             raise
         elapsed = time.monotonic() - t0
+        self._counts.add("store_hits" if hit else "builds")
         with self._lock:
-            if hit:
-                self._store_hits += 1
-            else:
-                self._builds += 1
             self._build_latencies.append(elapsed)
         return CompileResponse(
             key=key, cached=hit, elapsed_s=elapsed,
@@ -645,11 +639,9 @@ class MacroServer:
                 # A request that cannot replay (config rejected by a
                 # newer validator, signoff now failing) is retired as
                 # failed: replaying it forever would be a crash loop.
-                with self._lock:
-                    self._wal_replay_failures += 1
+                self._wal_counts.add("replay_failures")
             if status == "ok":
-                with self._lock:
-                    self._wal_replayed += 1
+                self._wal_counts.add("replayed")
             try:
                 self._wal.done(record["id"], status)
             except Exception:

@@ -38,9 +38,10 @@ Guarantees:
   owning pid is dead (or recycled: same pid, different process start
   time), or older than its staleness budget, can be broken and
   adopted — a crashed builder never wedges its digest.
-* **Observability** — :class:`StoreStats` counts hits, misses,
-  writes, evictions, corruption events, and current footprint, all
-  JSON-serializable for the server's ``/stats`` endpoint.
+* **Observability** — :attr:`ArtifactStore.stats` counts hits,
+  misses, writes, evictions and corruption events, and adds the
+  current footprint and hit rate, all JSON-serializable for the
+  server's ``/stats`` endpoint.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ import shutil
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.core.counters import Counters, hit_rate
 from repro.core.durability import fsync_dir
 from repro.core.errors import ConfigError
 from repro.core.liveness import process_start_time, same_process
@@ -71,39 +73,6 @@ _STAGING_IDS = itertools.count()
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-@dataclass
-class StoreStats:
-    """JSON-serializable counters for one store instance."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-    #: Filled in by :meth:`ArtifactStore.stats` at read time.
-    bytes: int = 0
-    entries: int = 0
-    byte_budget: Optional[int] = None
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "bytes": self.bytes,
-            "entries": self.entries,
-            "byte_budget": self.byte_budget,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 @dataclass(frozen=True)
@@ -143,7 +112,8 @@ class ArtifactStore:
         self._staging.mkdir(parents=True, exist_ok=True)
         self._claims.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._stats = StoreStats(byte_budget=byte_budget)
+        self._counts = Counters("hits", "misses", "writes", "evictions",
+                                "corrupt")
         #: In-process access ordering (monotone counter per key); the
         #: tie-breaker above manifest mtimes, whose resolution is too
         #: coarse to order a test's back-to-back accesses.
@@ -173,7 +143,7 @@ class ArtifactStore:
             if not manifest_path.is_file():
                 return False
             if self._verified_read(key, entry, manifest_path) is None:
-                self._stats.corrupt += 1
+                self._counts.add("corrupt")
                 return False
             return True
 
@@ -189,14 +159,14 @@ class ArtifactStore:
             entry = self._entry_dir(key)
             manifest_path = entry / MANIFEST
             if not manifest_path.is_file():
-                self._stats.misses += 1
+                self._counts.add("misses")
                 return None
             artifacts = self._verified_read(key, entry, manifest_path)
             if artifacts is None:
-                self._stats.corrupt += 1
-                self._stats.misses += 1
+                self._counts.add("corrupt")
+                self._counts.add("misses")
                 return None
-            self._stats.hits += 1
+            self._counts.add("hits")
             self._touch(key, manifest_path)
             return artifacts
 
@@ -256,7 +226,7 @@ class ArtifactStore:
             except Exception:
                 shutil.rmtree(staged, ignore_errors=True)
                 raise
-            self._stats.writes += 1
+            self._counts.add("writes")
             self._touch(key, final / MANIFEST)
             if self.byte_budget is not None:
                 self._evict_to_budget()
@@ -366,13 +336,16 @@ class ArtifactStore:
         return False
 
     @property
-    def stats(self) -> StoreStats:
-        """Counters with the current footprint filled in."""
+    def stats(self) -> Counters:
+        """A snapshot of the counters plus the current footprint
+        (``bytes``, ``entries``, ``byte_budget``) and ``hit_rate``."""
         with self._lock:
             entries = list(self._scan())
-            self._stats.bytes = sum(e.size for e in entries)
-            self._stats.entries = len(entries)
-            return self._stats
+            counts = self._counts
+            return counts.snapshot(
+                bytes=sum(e.size for e in entries), entries=len(entries),
+                byte_budget=self.byte_budget,
+                hit_rate=hit_rate(counts.hits, counts.misses))
 
     # -- internals ----------------------------------------------------------
 
@@ -455,7 +428,7 @@ class ArtifactStore:
                 break
             self._remove_entry(entry.key, entry.path)
             total -= entry.size
-            self._stats.evictions += 1
+            self._counts.add("evictions")
 
     def _remove_entry(self, key: str, entry: Path) -> None:
         """Drop a bundle manifest-first.

@@ -14,7 +14,6 @@ from repro.verify.control import (
     check_reachability,
 )
 from repro.verify.hierdrc import (
-    DrcCache,
     HierDrcResult,
     cell_hash,
     default_cache,
@@ -39,7 +38,6 @@ __all__ = [
     "EXIT_CODES",
     "FAILURE_CLASSES",
     "CheckResult",
-    "DrcCache",
     "HierDrcResult",
     "SignoffFinding",
     "SignoffReport",

@@ -32,6 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.counters import hit_rate
+from repro.core.stages import StageCache
 from repro.geometry import Rect, Transform
 from repro.layout.cell import Cell
 from repro.layout.drc import (
@@ -87,45 +89,15 @@ def cell_hash(cell: Cell, memo: Optional[dict] = None) -> str:
     return value
 
 
-class DrcCache:
-    """Verdict cache keyed on (rule-deck digest, cell content hash).
+#: Entry cap of :data:`default_cache`.  A macro has a few dozen unique
+#: cells, so the cap holds the verdicts of dozens of configurations
+#: while keeping a long-running server's memory bounded.
+DRC_CACHE_ENTRIES = 1024
 
-    Stores violation tuples for both flat leaf checks and composite
-    band checks, so an unchanged cell is never re-verified — across
-    stages of one signoff, across builds, and (via the module-level
-    :data:`default_cache`) across compilations in one process.
-    """
-
-    def __init__(self) -> None:
-        self._verdicts: Dict[str, Tuple[DrcViolation, ...]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: str) -> Optional[Tuple[DrcViolation, ...]]:
-        found = self._verdicts.get(key)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
-
-    def store(self, key: str, violations: Sequence[DrcViolation]) -> None:
-        self._verdicts[key] = tuple(violations)
-
-    def clear(self) -> None:
-        self._verdicts.clear()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-#: Shared process-wide cache: repeated builds (campaign shards, test
-#: suites, the bench) pay for each unique cell once.
-default_cache = DrcCache()
+#: Shared process-wide verdict cache, keyed on (rule-deck digest, leaf
+#: or composite, cell content hash): repeated builds (campaign shards,
+#: test suites, the bench) pay for each unique cell once.
+default_cache = StageCache(max_entries=DRC_CACHE_ENTRIES)
 
 
 @dataclass
@@ -380,14 +352,16 @@ def _dedup(violations: Sequence[DrcViolation]) -> List[DrcViolation]:
 def hierarchical_drc(
     cell: Cell,
     process: Process,
-    cache: Optional[DrcCache] = None,
+    cache: Optional[StageCache] = None,
     max_violations: int = 200,
 ) -> HierDrcResult:
     """Run the hierarchical sweep over ``cell`` and everything below it.
 
     Returns per-cell violation lists split into *leaf* (a generator
     produced dirty geometry) and *assembly* (composition created a
-    violation across a seam), plus cache/coverage statistics.
+    violation across a seam), plus cache/coverage statistics.  The
+    cache hit/miss counts are this call's own lookups, even while
+    other threads share ``cache``.
     """
     cache = cache if cache is not None else default_cache
     checker = DrcChecker(process)
@@ -396,7 +370,7 @@ def hierarchical_drc(
     hash_memo: dict = {}
     shape_memo: dict = {}
     result = HierDrcResult()
-    hits0, misses0 = cache.hits, cache.misses
+    hits = misses = 0
     t0 = time.perf_counter()
 
     # Unique cells by content hash; keep the first-seen name for blame.
@@ -412,8 +386,11 @@ def hierarchical_drc(
             break
         is_leaf = not sub.instances()
         key = f"{deck}:{'leaf' if is_leaf else 'comp'}:{content}"
-        verdict = cache.lookup(key)
-        if verdict is None:
+        hit, verdict = cache.lookup("drc", key)
+        if hit:
+            hits += 1
+        else:
+            misses += 1
             if is_leaf:
                 leaf_checks += 1
                 verdict = tuple(checker.check(sub, budget))
@@ -421,15 +398,13 @@ def hierarchical_drc(
                 composite_checks += 1
                 verdict = tuple(_composite_check(
                     sub, checker, halo, hash_memo, shape_memo, budget))
-            cache.store(key, verdict)
+            cache.store("drc", key, verdict)
         if verdict:
             bucket = (result.leaf_violations if is_leaf
                       else result.assembly_violations)
             bucket[sub.name] = list(verdict[:budget])
             budget -= len(bucket[sub.name])
 
-    hits = cache.hits - hits0
-    misses = cache.misses - misses0
     result.stats = {
         "halo_cu": halo,
         "unique_cells": len(unique),
@@ -437,8 +412,7 @@ def hierarchical_drc(
         "composite_checks": composite_checks,
         "cache_hits": hits,
         "cache_misses": misses,
-        "cache_hit_rate": round(hits / (hits + misses), 4)
-        if hits + misses else 0.0,
+        "cache_hit_rate": hit_rate(hits, misses),
         "elapsed_s": round(time.perf_counter() - t0, 6),
     }
     return result

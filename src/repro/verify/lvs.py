@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.config import RamConfig
 from repro.layout.cell import Cell
 from repro.layout.drc import close_pairs, group_labels, merged_mask, rect_array
-from repro.pnr.connectivity import _through_key, connectivity_graph
+from repro.pnr.connectivity import connectivity_graph
 from repro.tech.process import Process
 from repro.verify.report import SignoffFinding
 
@@ -144,11 +144,6 @@ def extract_nets(parent: Cell, process: Process,
     import networkx as nx
 
     return [frozenset(c) for c in nx.connected_components(graph)]
-
-
-def _net_label(endpoint: Endpoint) -> str:
-    """Canonical net name of a bit-line endpoint (feed-through folded)."""
-    return _through_key(endpoint[1])
 
 
 def check_connectivity(

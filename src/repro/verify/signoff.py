@@ -27,10 +27,11 @@ from typing import List, Optional
 
 from repro.bist.march import IFA_9, MarchTest
 from repro.bist.trpla import Trpla
+from repro.core.stages import StageCache
 from repro.layout.cell import Cell
 from repro.tech.process import Process, get_process
 from repro.verify.control import check_control
-from repro.verify.hierdrc import DrcCache, HierDrcResult, hierarchical_drc
+from repro.verify.hierdrc import HierDrcResult, hierarchical_drc
 from repro.verify.lvs import check_connectivity
 from repro.verify.report import (
     CheckResult,
@@ -71,7 +72,7 @@ def _drc_results(hier: HierDrcResult, elapsed_s: float,
 def run_signoff(
     compiled,
     march: MarchTest = IFA_9,
-    cache: Optional[DrcCache] = None,
+    cache: Optional[StageCache] = None,
     trpla: Optional[Trpla] = None,
     max_findings: int = 200,
 ) -> SignoffReport:
@@ -126,7 +127,7 @@ def drc_report(
     cell: Cell,
     process: Process,
     label: str = "",
-    cache: Optional[DrcCache] = None,
+    cache: Optional[StageCache] = None,
     max_findings: int = 200,
 ) -> SignoffReport:
     """DRC-only signoff of bare geometry (e.g. a CIF file read back).

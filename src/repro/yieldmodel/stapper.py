@@ -10,8 +10,6 @@ small alpha means strongly clustered defects (kinder to yield).
 
 from __future__ import annotations
 
-import math
-
 
 def stapper_yield(defect_density: float, area: float,
                   alpha: float = 2.0) -> float:
@@ -40,14 +38,3 @@ def defects_from_yield(yield_value: float, alpha: float = 2.0) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return alpha * (yield_value ** (-1.0 / alpha) - 1.0)
-
-
-def poisson_limit_error(defect_count: float, alpha: float) -> float:
-    """|Stapper - Poisson| yield gap for a given mean defect count.
-
-    Diagnostic helper: quantifies how much clustering matters at a
-    design point (the gap vanishes as alpha grows).
-    """
-    stapper = (1.0 + defect_count / alpha) ** (-alpha)
-    poisson = math.exp(-defect_count)
-    return abs(stapper - poisson)

@@ -18,10 +18,11 @@ import pytest
 
 from repro.core.compiler import BISRAMGen
 from repro.core.config import RamConfig
+from repro.core.stages import StageCache
 from repro.geometry import Point, Rect, Transform
 from repro.layout import Cell, DrcChecker
 from repro.tech import get_process
-from repro.verify.hierdrc import DrcCache, hierarchical_drc
+from repro.verify.hierdrc import hierarchical_drc
 
 
 def signature(violations):
@@ -54,7 +55,7 @@ class TestFlatVsHierarchical:
         top = BISRAMGen(config).build(signoff=None).floorplan.top
         process = get_process(config.process)
         flat = DrcChecker(process).check(top)
-        hier = hierarchical_drc(top, process, cache=DrcCache())
+        hier = hierarchical_drc(top, process, cache=StageCache())
         assert signature(flat) == hier_signature(hier)
         assert flat == [] and hier.clean
 
@@ -208,7 +209,7 @@ def macro():
 @pytest.fixture(scope="module")
 def cache():
     """Shared across plants: only the planted cells are checked anew."""
-    return DrcCache()
+    return StageCache()
 
 
 class TestMutationCorpus:

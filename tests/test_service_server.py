@@ -217,6 +217,87 @@ class TestMetrics:
         assert stats["store"]["writes"] == 1
 
 
+def _key_paths(data: dict, prefix: str = "") -> set:
+    """Every key of a nested dict as a dotted path."""
+    paths = set()
+    for key, value in data.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, prefix + key + ".")
+    return paths
+
+
+_LATENCY_KEYS = ("count", "mean_s", "p50_s", "p90_s", "p99_s", "max_s")
+
+#: The recursive ``/stats`` key set of a thread-backend primary with a
+#: store and a WAL; the process backend adds the ``backend`` subtree.
+STATS_KEYS = {
+    "uptime_s", "role", "workers", "queue_limit", "batch_limit",
+    "draining", "ready", "inflight", "requests", "builds", "store_hits",
+    "coalesced", "rejected", "failures", "shed", "promotions",
+    "endpoints", "request_latency", "build_latency", "stage_cache",
+    "store", "wal",
+    *(f"{window}.{key}" for window in ("request_latency",
+                                       "build_latency")
+      for key in _LATENCY_KEYS),
+    *(f"stage_cache.{key}" for key in (
+        "entries", "max_entries", "hits", "misses", "evictions",
+        "hit_rate")),
+    *(f"store.{key}" for key in (
+        "hits", "misses", "writes", "evictions", "corrupt", "bytes",
+        "entries", "byte_budget", "hit_rate")),
+    *(f"wal.{key}" for key in ("replayed", "replay_failures",
+                               "pending")),
+}
+BACKEND_KEYS = {"backend", *(f"backend.{key}" for key in (
+    "retries", "crashes", "timeouts", "quarantined", "innocent_requeues",
+    "builds", "store_hits", "post_build_misses", "workers"))}
+
+
+class TestStatsShape:
+    def test_latency_windows_are_bounded(self):
+        from repro.service.server import LATENCY_WINDOW
+
+        calls = []
+        server = MacroServer(workers=2, builder=counting_builder(calls))
+        requests = LATENCY_WINDOW + 50
+        try:
+            for _ in range(requests):
+                server.compile(CFG)
+        finally:
+            server.shutdown()
+        stats = server.stats()
+        assert stats["requests"] == requests
+        assert stats["builds"] == requests
+        assert stats["request_latency"]["count"] <= LATENCY_WINDOW
+        assert stats["build_latency"]["count"] <= LATENCY_WINDOW
+
+    def test_key_set_thread_backend(self, tmp_path):
+        from repro.service.wal import RequestLog
+
+        server = MacroServer(store=ArtifactStore(tmp_path / "store"),
+                             workers=1, builder=counting_builder([]),
+                             wal=RequestLog(tmp_path / "wal.jsonl"))
+        try:
+            server.compile(CFG)
+            assert _key_paths(server.stats()) == STATS_KEYS
+        finally:
+            server.shutdown()
+
+    def test_key_set_process_backend(self, tmp_path):
+        from repro.service.backend import ProcessPoolBackend
+        from repro.service.wal import RequestLog
+
+        store = ArtifactStore(tmp_path / "store")
+        server = MacroServer(store=store, workers=1,
+                             backend=ProcessPoolBackend(store, workers=1),
+                             wal=RequestLog(tmp_path / "wal.jsonl"))
+        try:
+            assert _key_paths(server.stats()) == STATS_KEYS | BACKEND_KEYS
+        finally:
+            server.shutdown()
+
+
 class TestHttp:
     @pytest.fixture()
     def service(self, tmp_path):
@@ -302,6 +383,35 @@ class TestSignoffDriverCache:
         assert result["clean"] is True
         assert result["process"] == "cda07"
         assert result["report"]["config"] == "preseeded"
+
+    def test_shard_fields_match_with_and_without_store(self, tmp_path):
+        """Both paths compile through compile_cached, so every field
+        but the timings agrees."""
+        import numpy as np
+
+        from repro.runtime.drivers import signoff_campaign, signoff_shard
+        from repro.runtime.runner import ShardSpec
+        from repro.verify import hierdrc
+
+        def untimed(value):
+            if isinstance(value, dict):
+                return {k: untimed(v) for k, v in value.items()
+                        if k != "elapsed_s"}
+            if isinstance(value, list):
+                return [untimed(v) for v in value]
+            return value
+
+        results = []
+        for cache_dir in (None, str(tmp_path)):
+            hierdrc.default_cache.clear()  # same cold DRC lookups
+            spec = signoff_campaign(words=64, bpw=8, bpc=4, spares=4,
+                                    processes=["cda07"],
+                                    cache_dir=cache_dir)
+            results.append(untimed(signoff_shard(spec.params, ShardSpec(
+                index=0, n_shards=1,
+                seed_seq=np.random.SeedSequence(0)))))
+        assert results[0] == results[1]
+        assert results[0]["cache_hit"] is False
 
 
 class _UnvalidatedConfig:

@@ -19,7 +19,7 @@ class TestStageCache:
         cache.store("floorplan", "k1", "product")
         hit, value = cache.lookup("floorplan", "k1")
         assert hit and value == "product"
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.counts.hits == 1 and cache.counts.misses == 1
 
     def test_stage_and_key_both_partition(self):
         cache = StageCache()
@@ -43,7 +43,7 @@ class TestStageCache:
         cache.store("s", "k3", 3)          # evicts k2
         assert not cache.lookup("s", "k2")[0]
         assert cache.lookup("s", "k1")[0]
-        assert cache.evictions == 1
+        assert cache.counts.evictions == 1
 
     def test_stats_shape(self):
         cache = StageCache()

@@ -2,12 +2,15 @@
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.core.compiler import BISRAMGen, compile_ram
 from repro.core.config import RamConfig
 from repro.core.errors import ConfigError, SignoffError
+from repro.core.stages import StageCache
 from repro.geometry import Rect
 from repro.layout.cell import Cell
 from repro.layout.cif import read_cif, write_cif
@@ -16,7 +19,6 @@ from repro.tech import get_process
 from repro.verify import (
     EXIT_CODES,
     CheckResult,
-    DrcCache,
     SignoffFinding,
     SignoffReport,
     cell_hash,
@@ -97,13 +99,57 @@ class TestHierarchicalDrc:
                           ("lvs", "assembly"), ("control", "control")}
 
     def test_cache_hit_rate_warm(self, compiled):
-        cache = DrcCache()
+        cache = StageCache()
         cold = hierarchical_drc(compiled.floorplan.top, PROCESS, cache=cache)
         warm = hierarchical_drc(compiled.floorplan.top, PROCESS, cache=cache)
         assert cold.clean and warm.clean
         assert cold.stats["cache_hit_rate"] == 0.0
         assert warm.stats["cache_hit_rate"] == 1.0
         assert warm.stats["leaf_checks"] == 0
+
+    def test_default_cache_stays_within_its_cap(self, compiled):
+        from repro.verify import hierdrc
+
+        cache = hierdrc.default_cache
+        try:
+            for n in range(hierdrc.DRC_CACHE_ENTRIES + 10):
+                cache.store("drc", f"filler-{n}", ())
+            assert len(cache) <= hierdrc.DRC_CACHE_ENTRIES
+            result = hierarchical_drc(compiled.floorplan.top, PROCESS)
+            assert result.clean
+            assert len(cache) <= hierdrc.DRC_CACHE_ENTRIES
+        finally:
+            cache.clear()
+
+    def test_threads_sharing_a_cache_count_their_own_lookups(
+            self, compiled):
+        """Each sweep reports the lookups it made, one per unique cell,
+        however the other sweeps on the shared cache interleave."""
+        cache = StageCache()
+        threads_n = 4
+        barrier = threading.Barrier(threads_n)
+        stats = [None] * threads_n
+
+        def sweep(k):
+            barrier.wait(timeout=30)
+            stats[k] = hierarchical_drc(compiled.floorplan.top, PROCESS,
+                                        cache=cache).stats
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweep, args=(k,))
+                       for k in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for one in stats:
+            assert one["cache_hits"] + one["cache_misses"] \
+                == one["unique_cells"]
 
     def test_content_hash_ignores_names(self):
         a, b = Cell("one"), Cell("two")
@@ -119,7 +165,7 @@ class TestHierarchicalDrc:
         leaf.add_shape("metal1", Rect(4 * LAM, 0, 7 * LAM, 3 * LAM))
         top = Cell("top")
         top.add_instance(leaf)
-        result = hierarchical_drc(top, PROCESS, cache=DrcCache())
+        result = hierarchical_drc(top, PROCESS, cache=StageCache())
         assert list(result.leaf_violations) == ["dirty_leaf"]
         assert not result.assembly_violations
 
@@ -133,7 +179,7 @@ class TestHierarchicalDrc:
         # Second instance placed within min-space of the first.
         top.add_instance(
             leaf, Transform(translation=Point(4 * LAM, 0)))
-        result = hierarchical_drc(top, PROCESS, cache=DrcCache())
+        result = hierarchical_drc(top, PROCESS, cache=StageCache())
         assert not result.leaf_violations
         assert list(result.assembly_violations) == ["top"]
         v = result.assembly_violations["top"][0]
@@ -266,7 +312,7 @@ class TestCifRoundTrip:
         assert cell_hash(back) == cell_hash(compiled.floorplan.top)
 
     def test_drc_report_on_readback_hits_cache(self, compiled):
-        cache = DrcCache()
+        cache = StageCache()
         hierarchical_drc(compiled.floorplan.top, PROCESS, cache=cache)
         buf = io.StringIO()
         write_cif(compiled.floorplan.top, buf, PROCESS.layers)
