@@ -8,7 +8,9 @@
 * :mod:`~repro.bisr.delay` — the TLB delay-penalty model (the paper
   quotes about 1.2 ns at 0.7 um with four spare rows),
 * :mod:`~repro.bisr.masking` — the three circuit techniques for hiding
-  that penalty inside the RAM cycle.
+  that penalty inside the RAM cycle,
+* :mod:`~repro.bisr.target` — the forwarding base of every test-target
+  view and the one write-all/read-all sweep.
 """
 
 from repro.bisr.tlb import Tlb, TlbEntry

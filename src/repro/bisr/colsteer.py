@@ -4,7 +4,8 @@ Where the TLB diverts a faulty *row* address to a spare row, the column
 steer diverts a faulty *bit line* to a spare bit-line pair: a small
 register file holds (faulty physical column -> spare column) entries,
 and a mux tree in the data path substitutes the spare column's
-sense/write circuits for the faulty one's.  The same strictly
+sense/write circuits for the faulty one's.  Both are one
+:class:`~repro.bisr.tlb.SpareSequence`, so the same strictly
 increasing spare-assignment rule applies, for the same reason: if a
 spare column itself turns out faulty, re-recording the logical column
 advances it to the next spare, so the iterated 2k-pass flow converges
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.bisr.tlb import SpareSequence
 from repro.circuit.mosfet import effective_resistance
 from repro.tech.process import Process
 
@@ -33,59 +35,30 @@ class ColumnSteerEntry:
     spare: int
 
 
-class ColumnSteer:
+class ColumnSteer(SpareSequence):
     """A ``spares``-entry column steer over ``regular_cols`` bit lines.
 
     ``spares = 0`` is legal (a row-only device): every ``record`` then
     overflows immediately, which is exactly the hardware a config
-    without spare columns has.
+    without spare columns has.  Only regular columns are recordable:
+    spare columns have no logical lane of their own, so a bad spare is
+    always reached — and replaced — through the logical column steered
+    onto it.
     """
+
+    entry_type = ColumnSteerEntry
 
     def __init__(self, regular_cols: int, spares: int) -> None:
         if regular_cols < 1:
             raise ValueError("need at least one regular column")
         if spares < 0:
             raise ValueError("spare columns must be non-negative")
+        super().__init__(spares)
         self.regular_cols = regular_cols
-        self.spares = spares
-        self._entries: List[ColumnSteerEntry] = []
-        self._next_spare = 0
-        self.overflowed = False
 
-    # -- test-mode operations ------------------------------------------------
-
-    def reset(self) -> None:
-        """Clear all entries (start of a fresh self-test)."""
-        self._entries.clear()
-        self._next_spare = 0
-        self.overflowed = False
-
-    def record(self, col: int, remap: bool = False) -> bool:
-        """Record a faulty column; returns False when out of spares.
-
-        A column already steered is a no-op unless ``remap`` is set —
-        with ``remap`` (the failure was seen *despite* active steering,
-        i.e. the assigned spare column is itself faulty) the column
-        advances to the next spare in the strictly increasing sequence.
-        Only regular columns are recordable: spare columns have no
-        logical lane of their own, so a bad spare is always reached —
-        and replaced — through the logical column steered onto it.
-        """
+    def _check(self, col: int) -> None:
         if not 0 <= col < self.regular_cols:
             raise ValueError(f"column {col} outside the regular array")
-        existing = self._find(col)
-        if existing is not None and not remap:
-            return True
-        if self._next_spare >= self.spares:
-            self.overflowed = True
-            return False
-        if existing is not None:
-            existing.spare = self._next_spare
-        else:
-            self._entries.append(
-                ColumnSteerEntry(col=col, spare=self._next_spare))
-        self._next_spare += 1
-        return True
 
     # -- normal-mode operation --------------------------------------------------
 
@@ -98,34 +71,11 @@ class ColumnSteer:
 
     def active_map(self) -> Dict[int, int]:
         """Current steering map: faulty physical column -> spare index."""
-        return {e.col: e.spare for e in self._entries}
-
-    # -- introspection -------------------------------------------------------------
-
-    def _find(self, col: int) -> Optional[ColumnSteerEntry]:
-        for entry in self._entries:
-            if entry.col == col:
-                return entry
-        return None
-
-    @property
-    def entries(self) -> Tuple[ColumnSteerEntry, ...]:
-        return tuple(self._entries)
-
-    @property
-    def spares_used(self) -> int:
-        return self._next_spare
-
-    @property
-    def spares_left(self) -> int:
-        return self.spares - self._next_spare
+        return {e.col: e.spare for e in self._entries.values()}
 
     def steered_cols(self) -> List[int]:
         """Logical columns currently steered, ascending."""
-        return sorted(e.col for e in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return sorted(self._entries)
 
 
 @dataclass(frozen=True)

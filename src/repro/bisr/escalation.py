@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, List, Mapping, Optional, Set, Tuple
 
+from repro.bisr.target import TargetView, unrepaired_rows
 from repro.core.errors import ConfigError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - break the bisr <-> bist cycle
@@ -179,43 +180,27 @@ def supervisor_result_from_dict(data: Mapping) -> SupervisorResult:
     return SupervisorResult(**common)
 
 
-class _ConfirmingTarget:
-    """TestTarget proxy gating ``record_fail`` behind N-of-M re-reads.
+class _ConfirmingTarget(TargetView):
+    """TestTarget view gating ``record_fail`` behind N-of-M re-reads.
 
     March semantics guarantee every read expects the last value written
-    to that address, so the proxy shadows writes and adjudicates a
+    to that address, so the view shadows writes and adjudicates a
     suspected failure by re-reading against the shadow.  Rejected
     suspects get the expected value scrubbed back, healing transient
     content corruption on the spot.
     """
 
     def __init__(self, target: TestTarget, policy: EscalationPolicy) -> None:
-        self.target = target
+        super().__init__(target)
         self.policy = policy
         self._shadow = {}
         self.confirmed: List[int] = []
         self.rejected: List[int] = []
         self.probe_reads = 0
 
-    @property
-    def word_count(self) -> int:
-        return self.target.word_count
-
-    def read(self, address: int) -> int:
-        return self.target.read(address)
-
     def write(self, address: int, word: int) -> None:
         self._shadow[address] = word
         self.target.write(address, word)
-
-    def set_repair_mode(self, enabled: bool) -> None:
-        self.target.set_repair_mode(enabled)
-
-    def retention_wait(self) -> None:
-        self.target.retention_wait()
-
-    def reset_for_test(self) -> None:
-        self.target.reset_for_test()
 
     def record_fail(self, address: int) -> None:
         expected = self._shadow.get(address)
@@ -261,7 +246,8 @@ class RepairSupervisor:
         rejected: List[int] = []
         probe_reads = 0
         total_backoff = 0
-        bpc = self._bpc(target)
+        tlb = target.tlb
+        bpc = target.array.bpc
         out_of_spares = False
 
         for attempt in range(1, policy.max_attempts + 1):
@@ -289,7 +275,7 @@ class RepairSupervisor:
                     {a // bpc for a in gate.confirmed}
                 )),
                 rejected_addresses=tuple(gate.rejected),
-                spares_used=self._spares_used(target),
+                spares_used=tlb.spares_used,
                 repaired=result.repaired,
             )
             history.append(record)
@@ -299,12 +285,12 @@ class RepairSupervisor:
                     attempts=attempt,
                     confirmed_rows=tuple(sorted(confirmed_rows)),
                     rejected_addresses=tuple(rejected),
-                    spares_used=self._spares_used(target),
+                    spares_used=tlb.spares_used,
                     probe_reads=probe_reads,
                     backoff_cycles=total_backoff,
                     history=tuple(history),
                 )
-            out_of_spares = self._spares_left(target) == 0
+            out_of_spares = tlb.spares_left == 0
             if out_of_spares:
                 break  # retrying cannot help: the sequence is spent
             if attempt < policy.max_attempts:
@@ -328,11 +314,11 @@ class RepairSupervisor:
             attempts=len(history),
             confirmed_rows=tuple(sorted(confirmed_rows)),
             rejected_addresses=tuple(rejected),
-            spares_used=self._spares_used(target),
+            spares_used=target.tlb.spares_used,
             probe_reads=probe_reads,
             backoff_cycles=total_backoff,
             history=tuple(history),
-            unrepaired_rows=self._sweep_unrepaired(target),
+            unrepaired_rows=unrepaired_rows(target, self.bpw),
             reason=reason,
         )
 
@@ -349,45 +335,3 @@ class RepairSupervisor:
                     f"(suspected flaky comparator or transient upsets)")
         return (f"repair did not converge within "
                 f"{self.policy.max_attempts} attempt(s)")
-
-    def _sweep_unrepaired(self, target: TestTarget) -> Tuple[int, ...]:
-        """Localise still-faulty rows with diversion active.
-
-        A destructive write/read sweep over both data polarities —
-        acceptable here because the supervised flow is a test context,
-        and the caller needs the row list to degrade around.
-        """
-        bpc = self._bpc(target)
-        mask = (1 << self.bpw) - 1
-        target.set_repair_mode(True)
-        bad_rows: Set[int] = set()
-        for pattern in (0, mask):
-            for address in range(target.word_count):
-                target.write(address, pattern)
-            for address in range(target.word_count):
-                if target.read(address) != pattern:
-                    bad_rows.add(address // bpc)
-        return tuple(sorted(bad_rows))
-
-    # -- device introspection -----------------------------------------------------
-
-    @staticmethod
-    def _tlb(target):
-        return getattr(target, "tlb", None)
-
-    def _spares_used(self, target) -> int:
-        tlb = self._tlb(target)
-        return tlb.spares_used if tlb is not None else 0
-
-    def _spares_left(self, target) -> int:
-        tlb = self._tlb(target)
-        return tlb.spares_left if tlb is not None else 1
-
-    def _bpc(self, target) -> int:
-        array = getattr(target, "array", None)
-        if array is not None:
-            return array.bpc
-        inner = getattr(target, "target", None)
-        if inner is not None:
-            return self._bpc(inner)
-        return 1

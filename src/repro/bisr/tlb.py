@@ -20,7 +20,7 @@ faults *within* the spares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -31,22 +31,19 @@ class TlbEntry:
     spare: int
 
 
-class Tlb:
-    """A ``spares``-entry TLB over ``regular_rows`` row addresses.
+class SpareSequence:
+    """Faulty resources mapped onto a strictly increasing spare sequence.
 
-    Spare row ``s`` is addressed as row ``regular_rows + s``; because
-    spares are themselves addressable, a faulty spare can be recorded
-    and re-diverted in a later test pass.
+    The TLB (rows) and the column steer (bit lines) are both this
+    register file.  A subclass names its entry type, built as
+    ``entry_type(key, spare)``, and range-checks keys in ``_check``.
     """
 
-    def __init__(self, regular_rows: int, spares: int) -> None:
-        if regular_rows < 1:
-            raise ValueError("need at least one regular row")
-        if spares < 1:
-            raise ValueError("need at least one spare row")
-        self.regular_rows = regular_rows
+    entry_type: type
+
+    def __init__(self, spares: int) -> None:
         self.spares = spares
-        self._entries: List[TlbEntry] = []
+        self._entries: dict = {}
         self._next_spare = 0
         self.overflowed = False
 
@@ -58,20 +55,19 @@ class Tlb:
         self._next_spare = 0
         self.overflowed = False
 
-    def record(self, row: int, remap: bool = False) -> bool:
-        """Record a faulty row; returns False when out of spares.
+    def record(self, key: int, remap: bool = False) -> bool:
+        """Record a faulty resource; returns False when out of spares.
 
-        A row already present is a no-op unless ``remap`` is set —
-        repeated detections of the same row within one test pass hit
-        the parallel compare and are swallowed.  With ``remap`` (the
-        caller saw the failure *despite* active diversion, i.e. the
-        assigned spare is itself faulty), the row advances to the next
-        spare in the strictly increasing sequence — the property that
-        makes iterated 2k-pass repair converge on faulty spares.
+        A key already present is a no-op unless ``remap`` is set —
+        repeated detections within one test pass hit the parallel
+        compare and are swallowed.  With ``remap`` (the caller saw the
+        failure *despite* active diversion, i.e. the assigned spare is
+        itself faulty), the key advances to the next spare in the
+        strictly increasing sequence — the property that makes
+        iterated 2k-pass repair converge on faulty spares.
         """
-        if not 0 <= row < self.regular_rows + self.spares:
-            raise ValueError(f"row {row} outside the address space")
-        existing = self._find(row)
+        self._check(key)
+        existing = self._find(key)
         if existing is not None and not remap:
             return True
         if self._next_spare >= self.spares:
@@ -80,9 +76,55 @@ class Tlb:
         if existing is not None:
             existing.spare = self._next_spare
         else:
-            self._entries.append(TlbEntry(row=row, spare=self._next_spare))
+            self._entries[key] = self.entry_type(key, self._next_spare)
         self._next_spare += 1
         return True
+
+    def _check(self, key: int) -> None:
+        raise NotImplementedError
+
+    # -- introspection -------------------------------------------------------------
+
+    def _find(self, key: int):
+        return self._entries.get(key)
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(self._entries.values())
+
+    @property
+    def spares_used(self) -> int:
+        return self._next_spare
+
+    @property
+    def spares_left(self) -> int:
+        return self.spares - self._next_spare
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class Tlb(SpareSequence):
+    """A ``spares``-entry TLB over ``regular_rows`` row addresses.
+
+    Spare row ``s`` is addressed as row ``regular_rows + s``; because
+    spares are themselves addressable, a faulty spare can be recorded
+    and re-diverted in a later test pass.
+    """
+
+    entry_type = TlbEntry
+
+    def __init__(self, regular_rows: int, spares: int) -> None:
+        if regular_rows < 1:
+            raise ValueError("need at least one regular row")
+        if spares < 1:
+            raise ValueError("need at least one spare row")
+        super().__init__(spares)
+        self.regular_rows = regular_rows
+
+    def _check(self, row: int) -> None:
+        if not 0 <= row < self.regular_rows + self.spares:
+            raise ValueError(f"row {row} outside the address space")
 
     # -- normal-mode operation --------------------------------------------------
 
@@ -99,34 +141,14 @@ class Tlb:
 
     # -- introspection -------------------------------------------------------------
 
-    def _find(self, row: int) -> Optional[TlbEntry]:
-        for entry in self._entries:
-            if entry.row == row:
-                return entry
-        return None
-
-    @property
-    def entries(self) -> Tuple[TlbEntry, ...]:
-        return tuple(self._entries)
-
-    @property
-    def spares_used(self) -> int:
-        return self._next_spare
-
-    @property
-    def spares_left(self) -> int:
-        return self.spares - self._next_spare
-
     def mapped_rows(self) -> Dict[int, int]:
         """Current diversion map: faulty row -> physical spare row."""
         return {
-            e.row: self.regular_rows + e.spare for e in self._entries
+            e.row: self.regular_rows + e.spare
+            for e in self._entries.values()
         }
 
     def assigned_spares(self) -> List[int]:
         """Spare indices in recording order — strictly increasing."""
-        order = sorted(self._entries, key=lambda e: e.spare)
+        order = sorted(self._entries.values(), key=lambda e: e.spare)
         return [e.spare for e in order]
-
-    def __len__(self) -> int:
-        return len(self._entries)

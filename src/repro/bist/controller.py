@@ -14,6 +14,9 @@ Two interchangeable implementations of the paper's two-pass flow:
   The equivalence test in the suite asserts that both emit identical
   memory-operation streams.
 
+:meth:`BistScheduler.run_pass` is the one software march walk:
+diagnosis, the transparent test and supervised repair all run it.
+
 The two-pass flow generalises to 2k passes ("the cycle of self-testing
 and self-repair may be iterated to repair faults within the spares
 themselves") via the ``passes`` argument.
@@ -61,6 +64,18 @@ class MemoryOp:
     data_bit: int
 
 
+@dataclass(frozen=True)
+class FailRecord:
+    """One comparator hit during a test pass."""
+
+    address: int
+    observed: int
+    expected: int
+
+    def failing_bits(self) -> int:
+        return self.observed ^ self.expected
+
+
 @dataclass
 class BistResult:
     """Outcome of a complete self-test/self-repair run."""
@@ -106,9 +121,9 @@ class BistScheduler:
         for pass_no in range(1, passes + 1):
             target.set_repair_mode(pass_no >= 2 or divert_during_test)
             verification = pass_no % 2 == 0
-            failed = self._run_single_pass(
+            failed = bool(self.run_pass(
                 target, pass_no, verification, result
-            )
+            ))
             result.passes_run = pass_no
             if verification:
                 result.repair_unsuccessful = failed
@@ -118,9 +133,17 @@ class BistScheduler:
                     break  # repaired and verified; later passes unneeded
         return result
 
-    def _run_single_pass(self, target: TestTarget, pass_no: int,
-                         verification: bool, result: BistResult) -> bool:
-        any_fail = False
+    def run_pass(self, target: TestTarget, pass_no: int,
+                 verification: bool, result: BistResult) -> List[FailRecord]:
+        """One march pass over every background: the software walk.
+
+        Counts ops and fails into ``result`` and returns every
+        comparator hit.  A test pass (``verification`` false) records
+        failing addresses into the TLB; a verification pass records
+        nothing, which is also how diagnosis and the transparent test
+        use it.  The pass leaves the repair mode as the caller set it.
+        """
+        fails: List[FailRecord] = []
         self.datagen.reset()
         while True:
             for element in self.march.elements:
@@ -144,7 +167,9 @@ class BistScheduler:
                         if op.is_read:
                             word = target.read(address)
                             if self.datagen.compare(word, op.data_bit):
-                                any_fail = True
+                                fails.append(FailRecord(
+                                    address, word,
+                                    self.datagen.pattern(op.data_bit)))
                                 result.fail_count += 1
                                 if not verification:
                                     target.record_fail(address)
@@ -155,7 +180,7 @@ class BistScheduler:
             if self.datagen.done:
                 break
             self.datagen.step()
-        return any_fail
+        return fails
 
     @staticmethod
     def _addresses(element: MarchElement, word_count: int) -> range:

@@ -38,11 +38,12 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
+from repro.bisr.target import TargetView
 from repro.core.errors import ConfigError
 
 
-class FaultyInfrastructure:
-    """A TestTarget proxy with injectable infrastructure faults.
+class FaultyInfrastructure(TargetView):
+    """A TestTarget view with injectable infrastructure faults.
 
     Args:
         target: the real device (any TestTarget, usually a
@@ -95,7 +96,7 @@ class FaultyInfrastructure:
                 raise ConfigError(
                     f"wrong_spare {wrong_spare} out of range"
                 )
-        self.target = target
+        super().__init__(target)
         self.rng = rng or random.Random(0)
         self.false_fail_rate = false_fail_rate
         self.false_pass_rate = false_pass_rate
@@ -109,14 +110,6 @@ class FaultyInfrastructure:
         self.tlb_corruptions = 0
 
     # -- TestTarget protocol ---------------------------------------------------
-
-    @property
-    def word_count(self) -> int:
-        return self.target.word_count
-
-    @property
-    def tlb(self):
-        return getattr(self.target, "tlb", None)
 
     def read(self, address: int) -> int:
         address = self._addr(address)
@@ -137,15 +130,9 @@ class FaultyInfrastructure:
         self._shadow[address] = word
         self.target.write(address, word)
 
-    def set_repair_mode(self, enabled: bool) -> None:
-        self.target.set_repair_mode(enabled)
-
     def record_fail(self, address: int) -> None:
         self.target.record_fail(self._addr(address))
         self._apply_tlb_corruption()
-
-    def retention_wait(self) -> None:
-        self.target.retention_wait()
 
     def reset_for_test(self) -> None:
         self._shadow.clear()

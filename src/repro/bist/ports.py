@@ -26,16 +26,17 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.bist.controller import BistScheduler, TestTarget
+from repro.bisr.target import TargetView
+from repro.bist.controller import BistScheduler
 from repro.bist.march import IFA_9, MarchTest
 from repro.memsim.device import BisrRam
 
 
-class PortView:
-    """A :class:`TestTarget` facade binding reads/writes to fixed ports.
+class PortView(TargetView):
+    """A :class:`TestTarget` view binding reads/writes to fixed ports.
 
     ``write_port`` and ``read_port`` may differ (cross-port testing);
-    everything except read/write delegates to the underlying device.
+    everything except read/write passes through to the device.
     """
 
     def __init__(self, device: BisrRam, write_port: int = 0,
@@ -44,31 +45,15 @@ class PortView:
             raise ValueError(
                 f"port binding (w={write_port}, r={read_port}) exceeds "
                 f"the device's {device.ports} port(s)")
-        self.device = device
+        super().__init__(device)
         self.write_port = write_port
         self.read_port = read_port
 
-    @property
-    def word_count(self) -> int:
-        return self.device.word_count
-
     def read(self, address: int) -> int:
-        return self.device.read(address, port=self.read_port)
+        return self.target.read(address, port=self.read_port)
 
     def write(self, address: int, word: int) -> None:
-        self.device.write(address, word, port=self.write_port)
-
-    def set_repair_mode(self, enabled: bool) -> None:
-        self.device.set_repair_mode(enabled)
-
-    def record_fail(self, address: int) -> None:
-        self.device.record_fail(address)
-
-    def retention_wait(self) -> None:
-        self.device.retention_wait()
-
-    def reset_for_test(self) -> None:
-        self.device.reset_for_test()
+        self.target.write(address, word, port=self.write_port)
 
 
 def port_bindings(ports: int) -> List[Tuple[str, int, int]]:

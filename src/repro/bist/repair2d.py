@@ -22,7 +22,7 @@ exception.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Set, Tuple
+from typing import Mapping, Optional, Set, Tuple
 
 from repro.bisr.allocate import RepairPlan, allocate, repair_plan_from_dict
 from repro.bisr.escalation import (
@@ -30,6 +30,7 @@ from repro.bisr.escalation import (
     SupervisorResult,
     supervisor_result_from_dict,
 )
+from repro.bisr.target import unrepaired_rows
 from repro.bist.march import MarchTest
 from repro.memsim.diagnosis import collect_fail_records, fault_bitmap
 
@@ -246,7 +247,7 @@ class TwoDRepairController:
             spares_used=device.tlb.spares_used,
             probe_reads=probe_reads,
             backoff_cycles=0,
-            unrepaired_rows=self._sweep_unrepaired(device),
+            unrepaired_rows=unrepaired_rows(device, self.bpw),
             reason=reason,
         )
         return Repair2DResult(
@@ -256,22 +257,3 @@ class TwoDRepairController:
             spare_cols_used=device.colsteer.spares_used,
             cycles=cycles,
         )
-
-    def _sweep_unrepaired(self, device) -> Tuple[int, ...]:
-        """Localise still-faulty rows with diversion/steering active
-        (the mission computer's degrade-around map)."""
-        bpc = device.array.bpc
-        mask = (1 << self.bpw) - 1
-        device.set_repair_mode(True)
-        bad_rows: List[int] = []
-        seen: Set[int] = set()
-        for pattern in (0, mask):
-            for address in range(device.word_count):
-                device.write(address, pattern)
-            for address in range(device.word_count):
-                if device.read(address) != pattern:
-                    row = address // bpc
-                    if row not in seen:
-                        seen.add(row)
-                        bad_rows.append(row)
-        return tuple(sorted(seen))

@@ -27,10 +27,10 @@ preserved, faults still detected — is property-tested in the suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import List
 
-from repro.bist.controller import TestTarget
-from repro.bist.datagen import DataGen
+from repro.bisr.target import TargetView
+from repro.bist.controller import BistResult, BistScheduler, TestTarget
 from repro.bist.march import MarchElement, MarchTest, Op, Order
 
 
@@ -78,6 +78,25 @@ class TransparentResult:
         return self.fail_count == 0
 
 
+class _XorView(TargetView):
+    """Stores and reads every word relative to its initial content.
+
+    Through this view the plain march pass becomes the transparent
+    test: writing background ``b`` stores ``initial ^ b`` and a read
+    that returns ``b`` means the cell holds ``initial ^ b``.
+    """
+
+    def __init__(self, target: TestTarget, initial: List[int]) -> None:
+        super().__init__(target)
+        self.initial = initial
+
+    def read(self, address: int) -> int:
+        return self.target.read(address) ^ self.initial[address]
+
+    def write(self, address: int, word: int) -> None:
+        self.target.write(address, word ^ self.initial[address])
+
+
 class TransparentBist:
     """Run a march test transparently: contents restored afterwards.
 
@@ -87,60 +106,35 @@ class TransparentBist:
     word itself, so the classic all-0 background degenerates to pure
     transparency and the stripe backgrounds still exercise intra-word
     couplings relative to the stored image.
+
+    The run is the scheduler's one march pass, as a verification pass
+    (it records nothing into the TLB), over an :class:`_XorView`.
     """
 
     def __init__(self, march: MarchTest, bpw: int) -> None:
         self.march = transparent_march(march)
-        self.datagen = DataGen(bpw)
+        self.scheduler = BistScheduler(self.march, bpw)
         self.mask = (1 << bpw) - 1
 
     def run(self, target: TestTarget) -> TransparentResult:
-        initial: Dict[int, int] = {
-            a: target.read(a) for a in range(target.word_count)
-        }
-        op_count = len(initial)  # the signature pre-read sweep
-        fails = 0
-        self.datagen.reset()
-        while True:
-            background = self.datagen.pattern(0)
-            for element in self.march.elements:
-                if element.is_delay:
-                    target.retention_wait()
-                    continue
-                addresses = (
-                    range(target.word_count - 1, -1, -1)
-                    if element.order is Order.DOWN
-                    else range(target.word_count)
-                )
-                for address in addresses:
-                    base = initial[address] ^ background
-                    for op in element.ops:
-                        op_count += 1
-                        expected = (
-                            base ^ self.mask if op.data_bit else base
-                        )
-                        if op.is_read:
-                            if target.read(address) != expected:
-                                fails += 1
-                        else:
-                            target.write(address, expected)
-            if self.datagen.done:
-                break
-            self.datagen.step()
+        # The signature pre-read sweep.
+        initial = [target.read(a) for a in range(target.word_count)]
+        result = BistResult(op_count=len(initial))
+        self.scheduler.run_pass(_XorView(target, initial), 1, True, result)
         # Final restore sweep: the march leaves every word holding
         # ``initial ^ last_background``; one write pass folds the mask
         # back out (in hardware this is the inverse-mask write phase of
         # the transparent controller, not a stored-copy restore).
-        if self.datagen.pattern(0) != 0:
-            for address in range(target.word_count):
-                op_count += 1
-                target.write(address, initial[address])
+        if self.scheduler.datagen.pattern(0) != 0:
+            for address, word in enumerate(initial):
+                result.op_count += 1
+                target.write(address, word)
         preserved = all(
             target.read(a) == initial[a]
             for a in range(target.word_count)
         )
         return TransparentResult(
-            op_count=op_count,
-            fail_count=fails,
+            op_count=result.op_count,
+            fail_count=result.fail_count,
             contents_preserved=preserved,
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.bisr.colsteer import ColumnSteer
+from repro.bisr.target import sweep
 from repro.bisr.tlb import Tlb
 from repro.memsim.array import MemoryArray
 
@@ -143,13 +144,7 @@ class BisrRam:
         A quick post-repair sanity sweep used by the examples: with a
         successful repair it returns 0 even on a fault-injected array.
         """
-        mismatches = 0
-        for address in range(self.word_count):
-            self.write(address, pattern_word)
-        for address in range(self.word_count):
-            if self.read(address) != pattern_word:
-                mismatches += 1
-        return mismatches
+        return len(sweep(self, pattern_word))
 
     def describe(self) -> str:
         a = self.array

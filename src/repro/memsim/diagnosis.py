@@ -37,17 +37,7 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-
-@dataclass(frozen=True)
-class FailRecord:
-    """One comparator hit during a test pass."""
-
-    address: int
-    observed: int
-    expected: int
-
-    def failing_bits(self) -> int:
-        return self.observed ^ self.expected
+from repro.bist.controller import BistResult, BistScheduler, FailRecord
 
 
 @dataclass(frozen=True)
@@ -197,37 +187,10 @@ def fault_bitmap(records: Sequence[FailRecord], bpw: int, bpc: int,
 def collect_fail_records(march, device, bpw: int) -> List[FailRecord]:
     """Run one diagnostic pass of ``march`` and log every comparator
     hit with observed/expected data (a richer log than the production
-    controller keeps — this is the diagnosis mode)."""
-    from repro.bist.datagen import DataGen
-    from repro.bist.march import Order
+    controller keeps — this is the diagnosis mode).
 
-    datagen = DataGen(bpw)
-    records: List[FailRecord] = []
-    datagen.reset()
-    while True:
-        for element in march.elements:
-            if element.is_delay:
-                device.retention_wait()
-                continue
-            addresses = (
-                range(device.word_count - 1, -1, -1)
-                if element.order is Order.DOWN
-                else range(device.word_count)
-            )
-            for address in addresses:
-                for op in element.ops:
-                    if op.is_read:
-                        word = device.read(address)
-                        expected = datagen.pattern(op.data_bit)
-                        if word != expected:
-                            records.append(
-                                FailRecord(address, word, expected)
-                            )
-                    else:
-                        device.write(
-                            address, datagen.pattern(op.data_bit)
-                        )
-        if datagen.done:
-            break
-        datagen.step()
-    return records
+    It is the scheduler's pass run as a verification pass, so nothing
+    is recorded into the TLB.  The device's repair mode is the
+    caller's: setting it here would re-arm the device's remap guard.
+    """
+    return BistScheduler(march, bpw).run_pass(device, 1, True, BistResult())

@@ -319,30 +319,38 @@ def sizing_campaign(
 # ---------------------------------------------------------------------------
 
 
-def signoff_shard(params: dict, shard: ShardSpec) -> dict:
+def _signoff_build(params: dict, node: str, **extra) -> tuple:
+    """Compile one signoff-sweep point: ``(bundle, report, cache_hit)``.
+
+    With a ``cache_dir``, worker processes across shards (and across
+    resumed campaign runs) share compiled macros through the store
+    instead of rebuilding identical geometry per node.
+    """
     import json
 
     from repro.core.config import RamConfig
     from repro.service import ArtifactStore, compile_cached
     from repro.verify.report import SignoffReport
 
-    processes = params["processes"]
-    node = processes[shard.index % len(processes)]
     config = RamConfig(
         words=params["words"], bpw=params["bpw"], bpc=params["bpc"],
         spares=params["spares"], process=node,
         gate_size=params.get("gate_size", 1),
-        strap_every=params.get("strap_every", 32),
+        strap_every=params.get("strap_every", 32), **extra,
     )
-    # With a cache_dir, worker processes across shards (and across
-    # resumed campaign runs) share compiled macros through the store
-    # instead of rebuilding identical geometry per node.
     cache_dir = params.get("cache_dir")
     bundle, cache_hit, _ = compile_cached(
         config, signoff="degrade",
         store=ArtifactStore(cache_dir) if cache_dir else None)
     report = SignoffReport.from_dict(
         json.loads(bundle["signoff.json"].decode("utf-8")))
+    return bundle, report, cache_hit
+
+
+def signoff_shard(params: dict, shard: ShardSpec) -> dict:
+    processes = params["processes"]
+    node = processes[shard.index % len(processes)]
+    _, report, cache_hit = _signoff_build(params, node)
     return {
         "process": node,
         "clean": report.clean,
@@ -403,11 +411,6 @@ def signoff_campaign(
 
 def techmatrix_shard(params: dict, shard: ShardSpec) -> dict:
     import hashlib
-    import json
-
-    from repro.core.config import RamConfig
-    from repro.service import ArtifactStore, compile_cached
-    from repro.verify.report import SignoffReport
 
     for directory in params.get("tech_dirs") or ():
         # Shard tasks run in worker processes with a fresh registry;
@@ -419,26 +422,14 @@ def techmatrix_shard(params: dict, shard: ShardSpec) -> dict:
     ports_list = params["ports"]
     node = processes[shard.index // len(ports_list)]
     ports = ports_list[shard.index % len(ports_list)]
-    config = RamConfig(
-        words=params["words"], bpw=params["bpw"], bpc=params["bpc"],
-        spares=params["spares"], process=node, ports=ports,
-        gate_size=params.get("gate_size", 1),
-        strap_every=params.get("strap_every", 32),
-    )
-    cache_dir = params.get("cache_dir")
-    bundle, cache_hit, _ = compile_cached(
-        config, signoff="degrade",
-        store=ArtifactStore(cache_dir) if cache_dir else None)
-    cif = bundle["macro.cif"]
-    report = SignoffReport.from_dict(
-        json.loads(bundle["signoff.json"].decode("utf-8")))
+    bundle, report, cache_hit = _signoff_build(params, node, ports=ports)
     return {
         "process": node,
         "ports": ports,
         "clean": report.clean,
         "failure_class": report.failure_class,
         "findings": len(report.findings()),
-        "cif_sha256": hashlib.sha256(cif).hexdigest(),
+        "cif_sha256": hashlib.sha256(bundle["macro.cif"]).hexdigest(),
         "cache_hit": cache_hit,
     }
 

@@ -142,3 +142,24 @@ class TestPortAwareBist:
         device.repair_mode = True
         device.write(8, 0x3C, port=1)
         assert device.read(8, port=0) == 0x3C
+
+    @pytest.mark.parametrize("label,write_port,read_port", port_bindings(2))
+    def test_supervising_through_a_view_matches_the_device(
+            self, label, write_port, read_port):
+        from repro.bisr import RepairSupervisor
+        from repro.memsim.faults import StuckAt
+
+        def faulty():
+            device = self._device(rows=8, bpw=4, bpc=4, spares=1)
+            for row in (5, 2):
+                device.array.inject(StuckAt(
+                    device.array.cell_index(row, 1, 3), 1))
+            return device
+
+        supervisor = RepairSupervisor(IFA_9, bpw=4)
+        direct = supervisor.run(faulty())
+        viewed = supervisor.run(PortView(faulty(), write_port, read_port))
+        assert direct.degraded and direct.reason.startswith(
+            "spares exhausted")
+        assert direct.spares_used == 1
+        assert viewed == direct
