@@ -23,6 +23,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 
 class Trpla:
     """Evaluate a NOR-NOR PLA personality.
@@ -90,6 +92,33 @@ class Trpla:
                 if bit:
                     outputs[o] = 1
         return tuple(outputs)
+
+    def evaluate_all(self, inputs) -> np.ndarray:
+        """Output rows for a whole matrix of input vectors at once.
+
+        ``inputs`` is ``(m, n_inputs)``, one input vector per row; the
+        result is the ``(m, n_outputs)`` 0/1 matrix whose row ``i`` is
+        ``evaluate(inputs[i])``.  A term is active where no programmed
+        AND-plane device sees a false literal, and an output is high
+        where any active term drives it.
+        """
+        values = np.asarray(inputs, dtype=bool)
+        if values.ndim != 2:
+            raise ValueError(
+                f"expected a matrix of input vectors, got shape "
+                f"{values.shape}"
+            )
+        if values.shape[1] != self.n_inputs:
+            raise ValueError(
+                f"expected {self.n_inputs} inputs, got {values.shape[1]}"
+            )
+        # Column 2k is input k's true literal, column 2k+1 its complement.
+        # A boolean matrix product is an OR of ANDs.
+        false_literals = np.repeat(values, 2, axis=1)
+        false_literals[:, 0::2] ^= True
+        deselected = false_literals @ np.array(self.and_plane, dtype=bool).T
+        active = ~deselected
+        return (active @ np.array(self.or_plane, dtype=bool)).astype(np.uint8)
 
     def transistor_count(self) -> int:
         """Programmed device count across both planes (area metric)."""

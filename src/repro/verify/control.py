@@ -13,9 +13,11 @@ the *controller burned into it* is the right machine:
   per delay element.
 * **personality equivalence** — the AND/OR plane matrices (as built,
   or as read back from plane files) are exhaustively evaluated over
-  every state x condition assignment and compared against the
-  microprogram semantics, so a single corrupted microword is caught
-  and named.
+  every state x condition assignment, as one batched
+  :meth:`~repro.bist.trpla.Trpla.evaluate_all` call, and each row is
+  compared against the microprogram semantics, so a single corrupted
+  microword is caught and named.  A plane too narrow for the
+  program's inputs or outputs is reported, not raised.
 * **BISR invariants** — a short fault-injected self-test run must
   leave the TLB with strictly increasing spare assignments, no
   duplicate rows, and translations that land inside the spare band.
@@ -23,8 +25,10 @@ the *controller burned into it* is the right machine:
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bist.controller import build_test_program
 from repro.bist.march import IFA_9, MarchTest
@@ -185,7 +189,12 @@ def check_personality(program: Microprogram,
     ``trpla`` defaults to the personality assembled from ``program``
     (verifying the assembler); pass a :class:`Trpla` read back from
     plane files to verify the *artifact* — a flipped bit in a microword
-    is reported with the state it corrupts.
+    is reported with the state it corrupts.  The whole input matrix is
+    evaluated in one :meth:`Trpla.evaluate_all` call; rows are compared
+    state by state, assignment by assignment, and each mismatching row
+    yields one finding, up to ``max_findings``.  A plane too narrow for
+    the program's inputs or outputs yields a single finding naming the
+    first state.
     """
     assembled = assemble(program)
     pla = trpla if trpla is not None else Trpla(
@@ -193,48 +202,64 @@ def check_personality(program: Microprogram,
     conds = program.condition_inputs()
     state_bits = assembled.state_bits
     encoding = assembled.state_encoding
-    out_index = {name: i for i, name in enumerate(assembled.output_names)}
+    n_outputs = len(assembled.output_names)
     control_outputs = assembled.output_names[state_bits:]
+    states = list(program.states.values())
+
+    def failed(reason: object) -> List[SignoffFinding]:
+        first = states[0].name
+        return [_finding(
+            "microword-mismatch", first,
+            f"PLA evaluation failed in state {first}: {reason}")]
+
+    assignments = list(islice(product((0, 1), repeat=len(conds)),
+                              _MAX_ASSIGNMENTS))
+    per_state = len(assignments)
+    codes = np.array([encoding[inst.name] for inst in states])
+    inputs = np.hstack([
+        np.repeat((codes[:, None] >> np.arange(state_bits)) & 1,
+                  per_state, axis=0),
+        np.tile(np.reshape(assignments, (per_state, len(conds))),
+                (len(states), 1)),
+    ])
+    try:
+        outputs = pla.evaluate_all(inputs)
+    except ValueError as error:
+        return failed(error)
+    if pla.n_outputs < n_outputs:
+        return failed(f"expected {n_outputs} outputs, got {pla.n_outputs}")
+
+    cond_maps = [dict(zip(conds, values)) for values in assignments]
+    got_next = outputs[:, :state_bits] @ (1 << np.arange(state_bits))
+    want_next = np.array([encoding[inst.next_state(cond_map)]
+                          for inst in states for cond_map in cond_maps])
+    want_controls = np.array(
+        [[name in inst.outputs for name in control_outputs]
+         for inst in states], dtype=np.uint8)
+    wrong_control = outputs[:, state_bits:n_outputs] != np.repeat(
+        want_controls, per_state, axis=0)
+    bad = (got_next != want_next) | wrong_control.any(axis=1)
 
     findings: List[SignoffFinding] = []
-    assignments = list(product((0, 1), repeat=len(conds)))
-    if len(assignments) > _MAX_ASSIGNMENTS:
-        assignments = assignments[:_MAX_ASSIGNMENTS]
-    for inst in program.states.values():
-        code = encoding[inst.name]
-        state_inputs = [(code >> b) & 1 for b in range(state_bits)]
-        for values in assignments:
-            inputs = state_inputs + list(values)
-            try:
-                outputs = pla.evaluate(inputs)
-            except (IndexError, ValueError) as error:
-                return [_finding(
-                    "microword-mismatch", inst.name,
-                    f"PLA evaluation failed in state {inst.name}: {error}")]
-            got_next = 0
-            for b in range(state_bits):
-                if outputs[b]:
-                    got_next |= 1 << b
-            cond_map = dict(zip(conds, values))
-            want_next = encoding[inst.next_state(cond_map)]
-            if got_next != want_next:
-                findings.append(_finding(
-                    "microword-mismatch", inst.name,
-                    f"state {inst.name} with {cond_map}: PLA jumps to "
-                    f"code {got_next}, microprogram says {want_next}",
-                    conditions=cond_map))
-            else:
-                for name in control_outputs:
-                    want = 1 if name in inst.outputs else 0
-                    if outputs[out_index[name]] != want:
-                        findings.append(_finding(
-                            "microword-mismatch", inst.name,
-                            f"state {inst.name}: control output {name} is "
-                            f"{outputs[out_index[name]]}, expected {want}",
-                            output=name))
-                        break
-            if len(findings) >= max_findings:
-                return findings
+    for row in np.flatnonzero(bad)[:max(max_findings, 0)]:
+        state, case = divmod(int(row), per_state)
+        name = states[state].name
+        if got_next[row] != want_next[row]:
+            cond_map = cond_maps[case]
+            findings.append(_finding(
+                "microword-mismatch", name,
+                f"state {name} with {cond_map}: PLA jumps to code "
+                f"{got_next[row]}, microprogram says {want_next[row]}",
+                conditions=dict(cond_map)))
+        else:
+            col = int(np.argmax(wrong_control[row]))
+            output = control_outputs[col]
+            findings.append(_finding(
+                "microword-mismatch", name,
+                f"state {name}: control output {output} is "
+                f"{outputs[row, state_bits + col]}, expected "
+                f"{want_controls[state, col]}",
+                output=output))
     return findings
 
 

@@ -28,14 +28,14 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.counters import hit_rate
 from repro.core.stages import StageCache
 from repro.geometry import Rect, Transform
-from repro.layout.cell import Cell
+from repro.layout.cell import Cell, CellInstance
 from repro.layout.drc import (
     DrcChecker,
     DrcViolation,
@@ -127,44 +127,111 @@ def _halo_cu(process: Process) -> int:
     return max(values) if values else 0
 
 
-def _own_shapes(cell: Cell, memo: dict) -> Dict[str, np.ndarray]:
-    """A cell's own drawn shapes per layer as arrays, memoized per cell.
+class _Frame(NamedTuple):
+    """A cell's DRC view in its own coordinate frame, memoized per cell.
 
-    Zero-area shapes are dropped: they are markers with no DRC
-    significance.
+    ``own`` holds the cell's drawn shapes per layer (zero-area markers
+    dropped).  ``rows`` stacks those shapes, layer by layer, over the
+    bounding boxes of its instances, so one mask finds both the shapes
+    and the children near a region: rows ``[0, ends[-1])`` are shapes,
+    ``ends`` the end row of each layer of ``own``, and the remaining
+    rows belong to ``children``, the ``(position, instance, inverse
+    transform)`` of each instance that has a bounding box.
     """
+
+    own: Dict[str, np.ndarray]
+    ends: List[int]
+    rows: np.ndarray
+    children: Tuple[Tuple[int, CellInstance, Transform], ...]
+
+
+def _frame(cell: Cell, memo: dict) -> _Frame:
     found = memo.get(id(cell))
     if found is None:
-        found = memo[id(cell)] = {}
+        drawn = {}
         for layer, coords in own_layers(cell).items():
-            drawn = solid(coords)
-            if len(drawn):
-                found[layer] = drawn
+            coords = solid(coords)
+            if len(coords):
+                drawn[layer] = coords
+        boxed = [(k, inst, inst.bbox())
+                 for k, inst in enumerate(cell.instances())]
+        boxed = [entry for entry in boxed if entry[2] is not None]
+        rows = np.concatenate(list(drawn.values())
+                              + [rect_array([box for _, _, box in boxed])])
+        ends = np.cumsum([len(coords) for coords in drawn.values()],
+                         dtype=np.int64).tolist()
+        own = {layer: rows[end - len(coords):end]
+               for (layer, coords), end in zip(drawn.items(), ends)}
+        children = tuple((k, inst, inst.transform.inverse())
+                         for k, inst, _ in boxed)
+        found = memo[id(cell)] = _Frame(own, ends, rows, children)
     return found
 
 
-def _shapes_in_region(cell: Cell, transform: Transform, region: Rect,
+def _visit(frame: _Frame, local: Rect, transform: Optional[Transform],
+           source: int,
+           out: Dict[str, List[Tuple[np.ndarray, int]]]) -> np.ndarray:
+    """Append a frame's shapes touching ``local``; return its children's.
+
+    Only the touching shapes are placed by ``transform`` (``None`` for
+    the zone's own frame) and appended as ``(coords, source)`` chunks
+    per layer.  Returns the indices into ``frame.children`` of the
+    instances whose boxes touch ``local``.
+    """
+    mask = touching(frame.rows, local)
+    n_own = frame.ends[-1] if frame.ends else 0
+    hits = np.flatnonzero(mask[:n_own])
+    if len(hits):
+        coords = frame.rows[hits]
+        if transform is not None:
+            coords = placed(coords, transform)
+        start = 0
+        for layer, end in zip(frame.own,
+                              np.searchsorted(hits, frame.ends).tolist()):
+            if end > start:
+                out.setdefault(layer, []).append(
+                    (coords[start:end], source))
+            start = end
+    return np.flatnonzero(mask[n_own:])
+
+
+def _shapes_in_region(frame: _Frame, transform: Transform, local: Rect,
                       source: int,
                       out: Dict[str, List[Tuple[np.ndarray, int]]],
                       memo: dict) -> None:
-    """Collect ``cell``'s flattened shapes intersecting ``region``.
+    """Collect a placed cell's flattened shapes touching a region.
 
-    Appends ``(coords, source)`` chunks per layer in depth-first
-    drawing order.  The descent is pruned on bounding boxes, so the
-    cost scales with the shapes near the region, not with the cell's
-    total area.
+    ``local`` is the region in the cell's own frame and ``transform``
+    places that frame in the zone's.  Chunks come in depth-first
+    drawing order.  Children whose boxes miss are never visited, so
+    the cost scales with the shapes near the region, not with the
+    cell's total area.
     """
-    box = cell.bbox()
-    if box is None or not box.transformed(transform).intersects(region):
-        return
-    for layer, coords in _own_shapes(cell, memo).items():
-        coords = placed(coords, transform)
-        hit = coords[touching(coords, region)]
-        if len(hit):
-            out.setdefault(layer, []).append((hit, source))
-    for inst in cell.instances():
-        _shapes_in_region(inst.cell, transform.compose(inst.transform),
-                          region, source, out, memo)
+    for k in _visit(frame, local, transform, source, out):
+        _, inst, inverse = frame.children[k]
+        _shapes_in_region(_frame(inst.cell, memo),
+                          transform.compose(inst.transform),
+                          local.transformed(inverse), source, out, memo)
+
+
+def _zone_shapes(cell: Cell, region: Rect,
+                 memo: dict) -> Dict[str, Sourced]:
+    """Every flattened shape of ``cell`` touching ``region``, per layer.
+
+    Sources: 0 = the cell's own drawn shapes, k = its k-th instance
+    (counted from 1).  Rows come in depth-first drawing order.
+    """
+    frame = _frame(cell, memo)
+    chunks: Dict[str, List[Tuple[np.ndarray, int]]] = {}
+    for k in _visit(frame, region, None, 0, chunks):
+        position, inst, inverse = frame.children[k]
+        _shapes_in_region(_frame(inst.cell, memo), inst.transform,
+                          region.transformed(inverse), position + 1,
+                          chunks, memo)
+    return {layer: (np.concatenate([c for c, _ in parts]),
+                    np.concatenate([np.full(len(c), src)
+                                    for c, src in parts]))
+            for layer, parts in chunks.items()}
 
 
 def _cross_spacing(checker: DrcChecker, layer: str,
@@ -234,7 +301,7 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
 
     # Parent-level drawn geometry gets the full width check; instance
     # shapes already passed their own cell's check.
-    own_by_layer = _own_shapes(cell, shape_memo)
+    own_by_layer = _frame(cell, shape_memo).own
     for layer in sorted(own_by_layer):
         violations.extend(checker._check_width(layer, own_by_layer[layer]))
         if len(violations) >= max_violations:
@@ -243,25 +310,9 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
     insts = list(cell.instances())
     boxes = [inst.bbox() for inst in insts]
 
-    def zone_items(region: Rect) -> Dict[str, Sourced]:
-        chunks: Dict[str, List[Tuple[np.ndarray, int]]] = {}
-        for layer, coords in own_by_layer.items():
-            hit = coords[touching(coords, region)]
-            if len(hit):
-                chunks.setdefault(layer, []).append((hit, 0))
-        for k, inst in enumerate(insts):
-            if boxes[k] is None or not boxes[k].intersects(region):
-                continue
-            _shapes_in_region(inst.cell, inst.transform, region, k + 1,
-                              chunks, shape_memo)
-        return {layer: (np.concatenate([c for c, _ in parts]),
-                        np.concatenate([np.full(len(c), src)
-                                        for c, src in parts]))
-                for layer, parts in chunks.items()}
-
     def check_zone(region: Rect) -> List[DrcViolation]:
         found: List[DrcViolation] = []
-        by_layer = zone_items(region)
+        by_layer = _zone_shapes(cell, region, shape_memo)
         for layer in sorted(by_layer):
             sources = by_layer[layer][1]
             n_own = np.count_nonzero(sources == 0)
@@ -323,7 +374,8 @@ def _composite_check(cell: Cell, checker: DrcChecker, halo: int,
     if own_cuts:
         parts: Dict[str, List[np.ndarray]] = {}
         for _, cut in own_cuts:
-            for layer, (coords, _) in zone_items(cut.expanded(halo)).items():
+            for layer, (coords, _) in _zone_shapes(cell, cut.expanded(halo),
+                                                    shape_memo).items():
                 parts.setdefault(layer, []).append(coords)
         enclosure_view = {layer: np.concatenate(chunks)
                           for layer, chunks in parts.items()}

@@ -8,6 +8,13 @@ diffusion double loop for gate endcaps, plus the hierarchical sweep's
 cross-source spacing and gate checks.  ``tests/test_drc_kernel.py``
 requires the kernel to return exactly the violation lists computed
 here, in the same order and with the same ``measured`` and ``where``.
+
+:func:`zone_shapes` is the hierarchical sweep's interaction-zone query
+as a plain recursive descent: every visited cell's shapes are placed in
+the zone's frame before they are tested, and every child is visited to
+test its placed bounding box.  ``tests/test_hierdrc_zones.py``
+requires the local-frame descent to return the same rows in the same
+order.
 """
 
 from __future__ import annotations
@@ -16,8 +23,18 @@ from bisect import bisect_right
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.geometry import Rect
-from repro.layout.drc import DrcChecker, DrcViolation
+import numpy as np
+
+from repro.geometry import Rect, Transform
+from repro.layout.cell import Cell
+from repro.layout.drc import (
+    DrcChecker,
+    DrcViolation,
+    own_layers,
+    placed,
+    solid,
+    touching,
+)
 from repro.tech.process import Process
 
 
@@ -339,3 +356,52 @@ def geometry_bridges(parent, process: Process):
             for other in members[1:]:
                 bridges.append((members[0], other))
     return bridges
+
+
+def _own_shapes(cell: Cell, memo: dict) -> Dict[str, np.ndarray]:
+    found = memo.get(id(cell))
+    if found is None:
+        found = memo[id(cell)] = {}
+        for layer, coords in own_layers(cell).items():
+            drawn = solid(coords)
+            if len(drawn):
+                found[layer] = drawn
+    return found
+
+
+def _shapes_in_region(cell: Cell, transform: Transform, region: Rect,
+                      source: int,
+                      out: Dict[str, List[Tuple[np.ndarray, int]]],
+                      memo: dict) -> None:
+    box = cell.bbox()
+    if box is None or not box.transformed(transform).intersects(region):
+        return
+    for layer, coords in _own_shapes(cell, memo).items():
+        coords = placed(coords, transform)
+        hit = coords[touching(coords, region)]
+        if len(hit):
+            out.setdefault(layer, []).append((hit, source))
+    for inst in cell.instances():
+        _shapes_in_region(inst.cell, transform.compose(inst.transform),
+                          region, source, out, memo)
+
+
+def zone_shapes(cell: Cell, region: Rect, memo: dict,
+                ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """``cell``'s flattened shapes touching ``region`` per layer, as
+    ``(coords, source)`` with source 0 = own shapes, k = k-th instance."""
+    chunks: Dict[str, List[Tuple[np.ndarray, int]]] = {}
+    for layer, coords in _own_shapes(cell, memo).items():
+        hit = coords[touching(coords, region)]
+        if len(hit):
+            chunks.setdefault(layer, []).append((hit, 0))
+    for k, inst in enumerate(cell.instances()):
+        box = inst.bbox()
+        if box is None or not box.intersects(region):
+            continue
+        _shapes_in_region(inst.cell, inst.transform, region, k + 1,
+                          chunks, memo)
+    return {layer: (np.concatenate([c for c, _ in parts]),
+                    np.concatenate([np.full(len(c), src)
+                                    for c, src in parts]))
+            for layer, parts in chunks.items()}

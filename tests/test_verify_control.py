@@ -8,8 +8,10 @@ import pytest
 from repro.bist.controller import build_test_program
 from repro.bist.march import IFA_9, MATS_PLUS
 from repro.bist.microcode import MicroInstruction, Microprogram, assemble
-from repro.bist.trpla import Trpla
+from repro.bist.trpla import Trpla, write_plane_files
+from repro.cli import main
 from repro.verify import (
+    EXIT_CODES,
     check_bisr_invariants,
     check_control,
     check_march_roundtrip,
@@ -116,6 +118,30 @@ class TestPersonality:
         findings = check_personality(program, bad)
         assert findings
         assert all(f.kind == "microword-mismatch" for f in findings)
+
+    def test_narrowed_or_plane_reported_not_raised(self, program):
+        # An OR plane one column short of the output list is a corrupt
+        # artifact, not a crash: one finding naming the first state.
+        asm = assemble(program)
+        bad = Trpla(asm.and_plane, [row[:-1] for row in asm.or_plane])
+        findings = check_personality(program, bad)
+        assert [f.kind for f in findings] == ["microword-mismatch"]
+        assert findings[0].subject == program.start
+        assert findings[0].message == (
+            f"PLA evaluation failed in state {program.start}: expected "
+            f"{len(asm.output_names)} outputs, "
+            f"got {len(asm.output_names) - 1}")
+
+    def test_verify_narrowed_or_plane_file_exits_control(self, program,
+                                                         tmp_path):
+        asm = assemble(program)
+        and_path = tmp_path / "trpla_and.plane"
+        or_path = tmp_path / "trpla_or.plane"
+        write_plane_files(and_path, or_path, asm.and_plane,
+                          [row[:-1] for row in asm.or_plane])
+        code = main(["verify", "--words", "64", "--bpw", "8", "--bpc", "4",
+                     "--strap-every", "8", "--control-dir", str(tmp_path)])
+        assert code == EXIT_CODES["control"]
 
 
 class TestBisrInvariants:
